@@ -4,7 +4,7 @@ inverse convolutive prediction (ICP), forward convolutive prediction (FCP),
 and their multi-source variants.
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
-Frequency bins are solved independently as one batched linear-algebra call;
+Frequency bins are solved independently in batched linear-algebra calls;
 there is no shared mutable state, so everything here is safe to call
 concurrently.
 
@@ -181,6 +181,59 @@ def apply_filter(filters, z):
     return np.ascontiguousarray(pred[:, :, 0].T)
 
 
+# Bins per weighted GEMM in solve_wls. A block needs two (block, K+1, T)
+# complex buffers, 5.3 MB each at 16 kHz (K = 40, T = 503); blocks of 8 to
+# 32 bins ran fastest there, 64 and up slower as the buffers leave the cache.
+_BIN_BLOCK = 16
+
+
+def _weighted_gram(z, d, taps, delay, w):
+    """Per-bin [[R, r], [r^H, e]] of the augmented sqrt-weighted stack.
+
+    Row k < K of the (K+1, T - delay) matrix M of bin f holds
+    z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
+    d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
+    left out. M @ M^H then carries the Gram matrix R and the right-hand side
+    r of the normal equations. Bins are processed in blocks of _BIN_BLOCK
+    so the working set stays bounded whatever the number of bins.
+
+    Returns:
+        (F, K+1, K+1) complex array.
+    """
+    n_frames, n_bins = z.shape
+    n_cols = n_frames - delay
+    full = np.zeros((n_bins, taps + 1, taps + 1), dtype=np.complex128)
+    if n_cols <= 0:
+        return full
+    # zp[f, taps - 1 + j] = z(j, f), so row k of M is zp[f, taps-1-k : taps-1-k+n_cols]
+    zp = np.zeros((n_bins, taps - 1 + n_cols), dtype=np.complex128)
+    zp[:, taps - 1:] = z[:n_cols].T
+    sqrt_inv_w = np.sqrt(1.0 / w[delay:].T)        # (F, n_cols)
+    d_t = d[delay:].T
+    block = min(_BIN_BLOCK, n_bins)
+    aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
+    aug_conj = np.empty_like(aug)
+    for lo in range(0, n_bins, block):
+        hi = min(lo + block, n_bins)
+        m, m_conj = aug[:hi - lo], aug_conj[:hi - lo]
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            zp[lo:hi], n_cols, axis=1)[:, ::-1]      # (b, K, n_cols)
+        np.multiply(shifted, sqrt_inv_w[lo:hi, None, :], out=m[:, :taps])
+        np.multiply(d_t[lo:hi], sqrt_inv_w[lo:hi], out=m[:, taps])
+        np.conjugate(m, out=m_conj)
+        np.matmul(m, np.swapaxes(m_conj, 1, 2), out=full[lo:hi])
+    return full
+
+
+def _refined_solve(gram, rhs):
+    """Batched solve with two rounds of iterative refinement, which recover
+    the digits the normal equations lose on ill-conditioned bins."""
+    sol = np.linalg.solve(gram, rhs)
+    for _ in range(2):
+        sol = sol + np.linalg.solve(gram, rhs - gram @ sol)
+    return sol
+
+
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     """Closed-form weighted least-squares filter bank, one filter per bin.
 
@@ -188,8 +241,16 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
         sum_t |target(t, f) - g(f)^H z_tilde(t - delay, f)|^2 / weights(t, f)
     where z_tilde stacks ``taps`` past frames of ``stack_src``. Solved by
     normal equations in double precision with diagonal loading
-    diag_load * trace(R) / K per bin. Bins whose stack carries no energy
-    get a zero filter.
+    diag_load * trace(R) / K per bin, plus two rounds of iterative
+    refinement. Bins whose stack carries no energy get a zero filter; bins
+    whose loaded Gram matrix is exactly singular get the minimum-norm
+    least-squares solution while the others are still solved batched.
+
+    The Gram matrix R and right-hand side r come from one GEMM per block
+    of bins over the augmented stack [A | d] / sqrt(weights), whose
+    conjugate outer product is [[R, r], [r^H, .]]. The working set is two
+    (block, K+1, T) buffers plus the (F, K+1, K+1) products, independent
+    of the number of bins beyond that.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -218,12 +279,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and strictly positive")
 
-    n_frames, n_bins = z.shape
-    stack = build_stack(z, taps, delay)            # (F, T, K)
-    inv_w = (1.0 / w).T[:, :, None]                # (F, T, 1)
-    stack_w = stack * inv_w
-    gram = np.swapaxes(stack_w, 1, 2) @ np.conj(stack)        # (F, K, K)
-    rhs = np.swapaxes(stack_w, 1, 2) @ np.conj(d.T)[:, :, None]  # (F, K, 1)
+    n_bins = z.shape[1]
+    full = _weighted_gram(z, d, taps, delay, w)
+    gram = full[:, :taps, :taps]                    # (F, K, K)
+    rhs = full[:, :taps, taps:]                     # (F, K, 1)
 
     trace = np.einsum("fkk->f", gram).real
     live = trace > 0
@@ -235,16 +294,14 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
             load = diag_load * trace[live] / taps
             g_live = g_live + load[:, None, None] * np.eye(taps)
         try:
-            sol = np.linalg.solve(g_live, b_live)
-            # two rounds of iterative refinement recover the digits the
-            # normal equations lose on ill-conditioned bins
-            for _ in range(2):
-                sol = sol + np.linalg.solve(g_live, b_live - g_live @ sol)
+            sol = _refined_solve(g_live, b_live)
         except np.linalg.LinAlgError:
-            sol = np.stack([
-                np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
-                for i in range(g_live.shape[0])
-            ])
+            # slogdet's LU meets the same exact zero pivot that failed the solve
+            singular = np.linalg.slogdet(g_live)[0] == 0
+            sol = np.empty_like(b_live)
+            sol[~singular] = _refined_solve(g_live[~singular], b_live[~singular])
+            for i in np.flatnonzero(singular):
+                sol[i] = np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
         filters[live] = sol[:, :, 0]
     return FilterBank(filters, delay)
 

@@ -5,7 +5,7 @@ from dereverb import (FilterBank, PredConfig, analyze, apply_filter,
                       build_stack, fcp, fcp_per_source, icp, iterate,
                       lambda_weights, make_estimate, si_sdr, solve_wls,
                       synthesize, wpe_multi, wpe_supplied, wpe_vanilla)
-from dereverb.convpred import _floored_power
+from dereverb.convpred import _BIN_BLOCK, _floored_power
 
 
 def wls_oracle(z, d, taps, delay, lam):
@@ -113,14 +113,65 @@ def test_zero_target_zero_filter():
     assert np.all(bank.filters == 0)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_solver_matches_bruteforce_oracle(seed):
-    rng = np.random.default_rng(seed)
-    z, d, taps, delay, lam = random_instance(rng)
+def block_instance(rng, delay):
+    """More bins than two GEMM blocks of solve_wls, so the last block is
+    partial; one bin of that last block is all zero."""
+    taps, frames, bins = 6, 48, 2 * _BIN_BLOCK + 3
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    lam = rng.uniform(0.1, 10.0, (frames, bins))
+    z[:, bins - 2] = 0.0
+    return z, d, taps, delay, lam
+
+
+BLOCK_CASES = {"blocks-delay0": 0, "blocks-delay3": 3}
+
+
+@pytest.mark.parametrize("case", [*range(8), *BLOCK_CASES])
+def test_solver_matches_bruteforce_oracle(case):
+    if case in BLOCK_CASES:
+        z, d, taps, delay, lam = block_instance(np.random.default_rng(100),
+                                                BLOCK_CASES[case])
+    else:
+        z, d, taps, delay, lam = random_instance(np.random.default_rng(case))
     bank = solve_wls(z, d, taps, delay, lam, diag_load=0.0)
     expected = wls_oracle(z, d, taps, delay, lam)
     err = np.linalg.norm(bank.filters - expected) / np.linalg.norm(expected)
     assert err < 1e-8
+    assert np.all(bank.filters[np.all(z == 0, axis=0)] == 0)
+
+
+def test_singular_bin_falls_back_alone(monkeypatch):
+    """An exactly singular Gram matrix (no loading, only the last frame
+    nonzero, so the delayed tap never sees it) sends that bin alone to
+    lstsq; the healthy bins keep the batched solve."""
+    rng = np.random.default_rng(4)
+    frames, taps = 32, 2
+    z = rng.standard_normal((frames, 3)) + 1j * rng.standard_normal((frames, 3))
+    z[:, 1] = 0.0
+    z[-1, 1] = 2.0 - 1.0j
+    d = rng.standard_normal((frames, 3)) + 1j * rng.standard_normal((frames, 3))
+    lam = rng.uniform(0.5, 2.0, (frames, 3))
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
+    assert lstsq_calls == [(taps, taps)]
+
+    healthy = [0, 2]
+    alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
+                      diag_load=0.0)
+    err = (np.linalg.norm(bank.filters[healthy] - alone.filters)
+           / np.linalg.norm(alone.filters))
+    assert err < 1e-12
+    # minimum-norm solution: tap 0 fits the last frame exactly, tap 1 is free
+    expected = [np.conj(d[-1, 1] / z[-1, 1]), 0.0]
+    np.testing.assert_allclose(bank.filters[1], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_solver_input_validation():
