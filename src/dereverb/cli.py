@@ -6,12 +6,19 @@ give byte-identical outputs. Configs and reports are JSON; signals are mono
 WAV (float32 by default, 16-bit PCM on request).
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
+
+``main`` runs each command with numpy's OpenBLAS on one thread and restores
+the previous thread count when the command returns; the library modules set
+no thread policy.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -222,7 +229,7 @@ def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
     return out, fs
 
 
-def _build_estimates(config, refs, cfg):
+def _build_estimates(config, refs, cfg, n_samples):
     mode = config.get("estimate_mode", "oracle")
     seed = int(config.get("seed", 0))
     if mode == "oracle":
@@ -239,7 +246,7 @@ def _build_estimates(config, refs, cfg):
             paths = [paths]
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
-        signals, _ = _load_signals(paths, cfg.sample_rate, None, "estimate")
+        signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
         return [analyze(sig, cfg).data for sig in signals], mode
     raise ConfigError(f"unknown estimate_mode {mode!r}")
 
@@ -341,7 +348,7 @@ def cmd_dereverb(config):
         if config.get("estimate_mode", "oracle") != "external" and not refs:
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
-        ests, est_mode = _build_estimates(config, refs, cfg)
+        ests, est_mode = _build_estimates(config, refs, cfg, mixture.size)
 
     outputs_tf = run_algorithm(name, pred, mix_tf, ests, passes, mixture.size)
     outputs = []
@@ -662,37 +669,89 @@ _COMMAND_KEYS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# entry point
+
+def _numpy_openblas():
+    """The thread-count getter and setter of the OpenBLAS numpy has loaded.
+
+    Only the copy bundled in numpy's wheel is looked up, and it is opened
+    with RTLD_NOLOAD, so no second copy is ever loaded. Returns None when
+    numpy uses another BLAS (MKL, Accelerate, a system OpenBLAS).
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    libs_dir = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    previous count.
+
+    The solver's Gram products are batches of small per-bin GEMMs that
+    OpenBLAS's worker threads do not speed up; next to a busy process each
+    of them waits for a descheduled worker. No-op without numpy's OpenBLAS.
+    The count is process-wide, so calls that overlap in several threads
+    may restore each other's value.
+    """
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "experiment":
-            config = {k: getattr(args, k, None) for k in _COMMAND_KEYS["experiment"]}
-            result = cmd_experiment(config)
-        else:
-            config = _merge_config(args, _COMMAND_KEYS[args.command])
-            if args.command == "simulate":
-                result = cmd_simulate(config)
-            elif args.command == "dereverb":
-                result = cmd_dereverb(config)
+    with _one_blas_thread():
+        try:
+            if args.command == "experiment":
+                config = {k: getattr(args, k, None)
+                          for k in _COMMAND_KEYS["experiment"]}
+                result = cmd_experiment(config)
             else:
-                result = cmd_evaluate(config)
-        if not (args.command == "experiment" and config.get("output")):
-            json.dump(result, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-        return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+                config = _merge_config(args, _COMMAND_KEYS[args.command])
+                if args.command == "simulate":
+                    result = cmd_simulate(config)
+                elif args.command == "dereverb":
+                    result = cmd_dereverb(config)
+                else:
+                    result = cmd_evaluate(config)
+            if not (args.command == "experiment" and config.get("output")):
+                json.dump(result, sys.stdout, indent=2, sort_keys=True)
+                sys.stdout.write("\n")
+            return EXIT_OK
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -427,6 +427,9 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
 
     Returns:
         (dereverberated T x F array, FilterBank, x_hat T x F array).
+
+    Raises:
+        FloatingPointError: the two output forms diverge.
     """
     y = _as_tf(mixture)
     s = _as_tf(est)
@@ -438,7 +441,7 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
     shat = y - (xhat - s)
     shat_alt = s + (y - xhat)
     if not np.allclose(shat, shat_alt, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max())):
-        raise AssertionError("subtraction and residual forms of the output diverged")
+        raise FloatingPointError("subtraction and residual forms of the output diverged")
 
     coeffs = bank.filters
     dead = _degenerate_bins(s)

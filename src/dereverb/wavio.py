@@ -1,5 +1,7 @@
 """Mono WAV read/write (16-bit PCM and 32-bit float) at 8 or 16 kHz."""
 
+import struct
+
 import numpy as np
 from scipy.io import wavfile
 
@@ -15,8 +17,16 @@ def read_wav(path):
     Returns:
         (samples, sample_rate): float64 samples in [-1, 1] for integer PCM
         input, pass-through for float input.
+
+    Raises:
+        OSError: the file is missing, or is not a parseable WAV file.
+        ValueError: a parseable WAV that is not mono or has an unsupported
+            sample format.
     """
-    sample_rate, data = wavfile.read(path)
+    try:
+        sample_rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise OSError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono WAV, got {data.shape[1]} channels")
     if data.dtype == np.int16:

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dereverb import read_wav, si_sdr
-from dereverb.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, cmd_dereverb,
-                          cmd_evaluate, cmd_simulate, main, run_experiment)
+from dereverb import (StftConfig, analyze, cli, convpred, read_wav, si_sdr,
+                      synthesize, write_wav)
+from dereverb.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
+                          cmd_dereverb, cmd_evaluate, cmd_simulate, main,
+                          run_experiment)
 
 
 def simulate_args(out_dir, **overrides):
@@ -119,6 +121,106 @@ def test_dereverb_missing_input_is_io_error(capsys):
     rc = main(["dereverb", "--mixture", "does-not-exist.wav",
                "--algorithm", "wpe_vanilla"])
     assert rc == EXIT_IO
+
+
+@pytest.mark.parametrize("content", [b"RIFF", b"RIFF" + bytes(40)],
+                         ids=["truncated-header", "not-wave-form"])
+def test_dereverb_corrupt_wav_is_io_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(content)
+    rc = main(["dereverb", "--mixture", str(bad), "--algorithm", "wpe_vanilla"])
+    assert rc == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "bad.wav" in err
+
+
+def test_dereverb_external_estimate_length_checked_at_load(scene_dir, tmp_path,
+                                                           capsys):
+    short = tmp_path / "short"
+    cmd_simulate(simulate_args(short, duration_s=1.5, snr_db=None, seed=5))
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--reference", str(scene_dir / "s.wav"),
+               "--estimate-mode", "external", "--estimate", str(short / "s.wav"),
+               "--algorithm", "fcp"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(short / "s.wav") in err and "12000 != 16000" in err
+
+
+def test_fcp_form_divergence_is_numerical_failure(scene_dir, monkeypatch, capsys):
+    argv = ["dereverb", "--mixture", str(scene_dir / "y.wav"),
+            "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp"]
+    with monkeypatch.context() as m:
+        m.setattr(np, "allclose", lambda *args, **kwargs: False)
+        rc = main(argv)
+    assert rc == EXIT_NUMERIC
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
+    blas = cli._numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    get_threads, set_threads = blas
+    seen = []
+    fcp = convpred.fcp
+
+    def spy(*args, **kwargs):
+        seen.append(get_threads())
+        return fcp(*args, **kwargs)
+
+    monkeypatch.setattr(convpred, "fcp", spy)
+    original = get_threads()
+    set_threads(2)
+    try:
+        before = get_threads()
+        rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+                   "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp"])
+        after_ok = get_threads()
+        rc_io = main(["dereverb", "--mixture", "does-not-exist.wav",
+                      "--algorithm", "fcp"])
+        after_error = get_threads()
+    finally:
+        set_threads(original)
+    assert (rc, rc_io) == (EXIT_OK, EXIT_IO)
+    assert seen == [1]
+    assert after_ok == before and after_error == before
+
+
+def _library_output(scene_dir, name):
+    y, fs = read_wav(scene_dir / "y.wav")
+    s, _ = read_wav(scene_dir / "s.wav")
+    cfg = StftConfig.for_rate(fs)
+    mix = analyze(y, cfg)
+    if name == "wpe_vanilla":
+        out = convpred.wpe_vanilla(mix.data, convpred.PredConfig.for_wpe())[0]
+    else:
+        out = getattr(convpred, name)(mix.data, analyze(s, cfg).data)[0]
+    return synthesize(mix.with_data(out), y.size), fs
+
+
+@pytest.mark.parametrize("name", ["fcp", "icp"])
+def test_main_output_bytes_match_library(scene_dir, tmp_path, name):
+    """One BLAS thread in the CLI leaves FCP/ICP outputs bit-identical to
+    the library run with the process's own thread count."""
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--reference", str(scene_dir / "s.wav"), "--algorithm", name,
+               "--output", str(tmp_path / "cli.wav")])
+    assert rc == EXIT_OK
+    expected, fs = _library_output(scene_dir, name)
+    write_wav(tmp_path / "lib.wav", expected, fs)
+    assert (tmp_path / "cli.wav").read_bytes() == (tmp_path / "lib.wav").read_bytes()
+
+
+def test_main_wpe_output_matches_library(scene_dir, tmp_path, monkeypatch):
+    written = []
+    monkeypatch.setattr(cli, "write_wav",
+                        lambda path, samples, *args: written.append(samples))
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--algorithm", "wpe_vanilla", "--output", str(tmp_path / "o.wav")])
+    assert rc == EXIT_OK and len(written) == 1
+    expected, _ = _library_output(scene_dir, "wpe_vanilla")
+    assert np.linalg.norm(written[0] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_dereverb_multi_output_files(scene_dir, tmp_path):
