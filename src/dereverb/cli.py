@@ -14,6 +14,7 @@ no thread policy.
 
 import argparse
 import contextlib
+import copy
 import csv
 import ctypes
 import json
@@ -21,6 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +39,26 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-ALGORITHMS = ("wpe_vanilla", "wpe_supplied", "icp", "fcp",
-              "fcp_per_source", "wpe_sf", "wpe_mf")
+
+class _Honours(NamedTuple):
+    settings: tuple        # prediction settings the algorithm applies
+    reads_estimate: bool   # False: the target estimates are never read
+
+
+_WPE_SETTINGS = ("taps", "delay", "eps", "diag_load")
+_CP_SETTINGS = ("taps", "eps", "diag_load")
+# An explicit setting outside an algorithm's tuple is rejected, never
+# echoed and then ignored; defaults are not checked.
+HONOURED = {
+    "wpe_vanilla": _Honours(_WPE_SETTINGS + ("iters",), False),
+    "wpe_supplied": _Honours(_WPE_SETTINGS, True),
+    "icp": _Honours(_CP_SETTINGS, True),
+    "fcp": _Honours(_CP_SETTINGS, True),
+    "fcp_per_source": _Honours(("taps", "eps", "lambda_mode", "diag_load"), True),
+    "wpe_sf": _Honours(_WPE_SETTINGS, True),
+    "wpe_mf": _Honours(_WPE_SETTINGS, True),
+}
+ALGORITHMS = tuple(HONOURED)
 MULTI_OUTPUT = ("fcp_per_source", "wpe_mf")
 
 
@@ -63,12 +83,23 @@ def _algorithm_defaults(name):
     return {"taps": 40, "delay": 0, "eps": 0.001, "lambda_mode": "mix_power"}
 
 
+def _reject_ignored(name, given):
+    """ConfigError if a setting in ``given`` is one ``name`` does not apply."""
+    honoured = HONOURED[name].settings
+    ignored = [k for k in given if k not in honoured]
+    if ignored:
+        raise ConfigError(f"algorithm {name!r} does not use {', '.join(ignored)} "
+                          f"(it uses {', '.join(honoured)})")
+
+
 def _pred_settings(config):
     name = config.get("algorithm", "fcp")
     settings = _algorithm_defaults(name)
-    settings.update({k: config[k] for k in
-                     ("taps", "delay", "eps", "lambda_mode", "diag_load", "iters")
-                     if config.get(k) is not None})
+    given = {k: config[k] for k in
+             ("taps", "delay", "eps", "lambda_mode", "diag_load", "iters")
+             if config.get(k) is not None}
+    _reject_ignored(name, given)
+    settings.update(given)
     settings.setdefault("diag_load", 1e-6)
     settings.setdefault("iters", 3)
     try:
@@ -225,7 +256,7 @@ def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
         fs = rate
         if expected_len is not None and samples.size != expected_len:
             raise ConfigError(f"{p}: {what} length {samples.size} != {expected_len}")
-        out.append(samples)
+        out.append(_check_finite(samples, str(p)))
     return out, fs
 
 
@@ -344,7 +375,7 @@ def cmd_dereverb(config):
 
     ests = []
     est_mode = None
-    if name != "wpe_vanilla":
+    if HONOURED[name].reads_estimate:
         if config.get("estimate_mode", "oracle") != "external" and not refs:
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
@@ -427,6 +458,7 @@ def cmd_evaluate(config):
 # experiment
 
 def _sweep_algorithms(sweep):
+    """(name, settings, explicitly given setting keys) per algorithm entry."""
     entries = sweep.get("algorithms", ["fcp"])
     out = []
     for entry in entries:
@@ -435,14 +467,16 @@ def _sweep_algorithms(sweep):
         name = entry.get("name")
         settings = _algorithm_defaults(name)
         settings.update({k: v for k, v in entry.items() if k != "name"})
-        out.append((name, settings))
+        given = [k for k in entry if k not in ("name", "passes")]
+        out.append((name, settings, given))
     return out
 
 
-def _run_one_scene(sweep, seed, t60, snr_db, est_err, name, settings):
+def _sweep_scene(sweep, seed, t60, snr_db):
+    """The scene of one (seed, t60, snr) and its mixture STFT."""
     fs = int(sweep.get("sample_rate", 16000))
     cfg = StftConfig.for_rate(fs)
-    scene_cfg = {
+    scene = _build_scene({
         "sample_rate": fs,
         "duration_s": sweep.get("duration_s", 4.0),
         "seed": seed,
@@ -450,18 +484,29 @@ def _run_one_scene(sweep, seed, t60, snr_db, est_err, name, settings):
         "snr_db": snr_db,
         "n_sources": sweep.get("n_sources", 1),
         "early_only": sweep.get("early_only", False),
-    }
-    scene = _build_scene(scene_cfg)
-    mix_tf = analyze(scene.y, cfg)
+    })
+    return scene, analyze(scene.y, cfg)
 
-    ests = []
-    for c in range(scene.n_sources):
-        if est_err is None:
-            ests.append(analyze(scene.direct[c], cfg).data)
-        else:
-            ests.append(analyze(degrade(scene.direct[c], float(est_err),
-                                        seed + 7919 * (c + 1)), cfg).data)
 
+def _sweep_estimates(scene, cfg, seed, est_err):
+    """Oracle (``est_err`` None) or degraded STFTs of each direct path."""
+    if est_err is None:
+        return [analyze(d, cfg).data for d in scene.direct]
+    return [analyze(degrade(d, float(est_err), seed + 7919 * (c + 1)), cfg).data
+            for c, d in enumerate(scene.direct)]
+
+
+def _sweep_row_metrics(sweep, name, settings, given, scene, mix_tf, ests,
+                       unprocessed):
+    """Run one algorithm entry on a prepared scene; returns its per-source
+    metrics.
+
+    ``unprocessed`` maps a reference index to the mixture's metrics on this
+    scene, shared by the rows. It is filled after the algorithm has run, so
+    an algorithm error is raised before a metric error, and only with
+    metrics that succeeded.
+    """
+    _reject_ignored(name, given)
     pred = convpred.PredConfig(
         taps=int(settings["taps"]), delay=int(settings["delay"]),
         eps=float(settings["eps"]), lambda_mode=settings["lambda_mode"],
@@ -475,24 +520,69 @@ def _run_one_scene(sweep, seed, t60, snr_db, est_err, name, settings):
     for c, out_tf in enumerate(outputs_tf):
         _check_finite(out_tf, "enhanced spectrogram")
         out = synthesize(mix_tf.with_data(out_tf), scene.n_samples)
-        ref = scene.direct[min(c, scene.n_sources - 1)]
+        r = min(c, scene.n_sources - 1)
+        if r not in unprocessed:
+            unprocessed[r] = _metric_dict(scene.y, scene.direct[r], max_lag)
         per_source.append({
             "source": c,
-            "unprocessed": _metric_dict(scene.y, ref, max_lag),
-            "enhanced": _metric_dict(out, ref, max_lag),
+            "unprocessed": unprocessed[r],
+            "enhanced": _metric_dict(out, scene.direct[r], max_lag),
         })
-    return {
-        "seed": seed, "t60": t60, "snr_db": snr_db,
-        "estimate_error_snr_db": est_err,
-        "algorithm": name, "settings": settings,
-        "metrics": per_source, "error": None,
-    }
+    return per_source
+
+
+def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
+    """The rows of one (seed, t60, snr), estimate error by algorithm."""
+    if not (est_errs and algorithms):
+        return []  # no rows: render nothing
+    seed_i, t60_f = int(seed), float(t60)
+    scene_error = None
+    try:
+        scene, mix_tf = _sweep_scene(sweep, seed_i, t60_f, snr_db)
+    except Exception as exc:  # recorded in each of its rows
+        scene_error = str(exc)
+    unprocessed = {}
+    estimate_free = {}  # algorithm index -> metrics of its estimate-free row
+    rows = []
+    for est_err in est_errs:
+        ests, est_error = [], scene_error
+        if scene_error is None:
+            try:
+                ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err)
+            except Exception as exc:  # recorded in each row that reads them
+                est_error = str(exc)
+        for i, (name, settings, given) in enumerate(algorithms):
+            reads_estimate = HONOURED[name].reads_estimate
+            error = est_error if reads_estimate else scene_error
+            per_source = estimate_free.get(i)
+            if error is None and per_source is None:
+                try:
+                    per_source = _sweep_row_metrics(sweep, name, settings, given,
+                                                    scene, mix_tf, ests, unprocessed)
+                except Exception as exc:  # recorded, sweep continues
+                    error = str(exc)
+                else:
+                    if not reads_estimate:
+                        estimate_free[i] = per_source
+            row = {"seed": seed, "t60": t60, "snr_db": snr_db,
+                   "estimate_error_snr_db": est_err,
+                   "algorithm": name, "settings": settings,
+                   "metrics": None, "error": error}
+            if error is None:  # a failed row keeps the config's seed and t60
+                row.update(seed=seed_i, t60=t60_f, metrics=copy.deepcopy(per_source))
+            rows.append(row)
+    return rows
 
 
 def run_experiment(sweep):
-    """Run a sweep over seeds x t60 x snr x algorithm x estimate degradation.
+    """Run a sweep over seeds x t60 x snr x estimate degradation x algorithm.
 
-    Per-scene failures are recorded in the row and the sweep continues.
+    Each scene is rendered and transformed once per (seed, t60, snr), its
+    estimates once per estimate error, and the row of an algorithm that
+    reads no estimate once per scene; every row equals the one computed on
+    its own. Failures are recorded in every row that depends on them and
+    the sweep continues; a failed row is computed again for each estimate
+    error.
     """
     seeds = sweep.get("seeds", [])
     t60s = sweep.get("t60", [0.4])
@@ -504,19 +594,7 @@ def run_experiment(sweep):
     for seed in seeds:
         for t60 in t60s:
             for snr_db in snrs:
-                for est_err in est_errs:
-                    for name, settings in algorithms:
-                        try:
-                            rows.append(_run_one_scene(
-                                sweep, int(seed), float(t60), snr_db,
-                                est_err, name, settings))
-                        except Exception as exc:  # recorded, sweep continues
-                            rows.append({
-                                "seed": seed, "t60": t60, "snr_db": snr_db,
-                                "estimate_error_snr_db": est_err,
-                                "algorithm": name, "settings": settings,
-                                "metrics": None, "error": str(exc),
-                            })
+                rows += _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms)
 
     aggregates = {}
     groups = {}

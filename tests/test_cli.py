@@ -1,8 +1,10 @@
+import collections
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from dereverb import (StftConfig, analyze, cli, convpred, read_wav, si_sdr,
                       synthesize, write_wav)
@@ -115,6 +117,54 @@ def test_dereverb_rejects_wpe_zero_delay(scene_dir, capsys):
                "--algorithm", "wpe_vanilla", "--delay", "0"])
     assert rc == EXIT_CONFIG
     assert "delay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via", ["flag", "config-file"])
+def test_dereverb_rejects_setting_the_algorithm_ignores(scene_dir, tmp_path,
+                                                        capsys, via):
+    if via == "flag":
+        argv = ["dereverb", "--mixture", str(scene_dir / "y.wav"),
+                "--reference", str(scene_dir / "s.wav"),
+                "--algorithm", "fcp", "--delay", "3"]
+        ignored = "delay"
+    else:
+        config = tmp_path / "icp.json"
+        config.write_text(json.dumps({
+            "mixture": str(scene_dir / "y.wav"),
+            "reference": str(scene_dir / "s.wav"),
+            "algorithm": "icp", "iters": 9}))
+        argv = ["dereverb", "--config", str(config)]
+        ignored = "iters"
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and ignored in err
+
+
+def _nan_copy(src, dst):
+    samples, fs = read_wav(src)
+    samples = samples.astype(np.float32)
+    samples[100] = np.nan
+    wavfile.write(dst, fs, samples)
+    return str(dst)
+
+
+@pytest.mark.parametrize("role", ["mixture", "reference", "estimate", "evaluate"])
+def test_non_finite_wav_is_numerical_failure(scene_dir, tmp_path, capsys, role):
+    y, s = str(scene_dir / "y.wav"), str(scene_dir / "s.wav")
+    bad = _nan_copy(scene_dir / ("y.wav" if role == "mixture" else "s.wav"),
+                    tmp_path / "nan.wav")
+    argv = {
+        "mixture": ["dereverb", "--mixture", bad, "--algorithm", "wpe_vanilla"],
+        "reference": ["dereverb", "--mixture", y, "--reference", bad,
+                      "--algorithm", "fcp"],
+        "estimate": ["dereverb", "--mixture", y, "--reference", s,
+                     "--estimate-mode", "external", "--estimate", bad,
+                     "--algorithm", "fcp"],
+        "evaluate": ["evaluate", "--estimate", bad, "--reference", s],
+    }[role]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and bad in err
 
 
 def test_dereverb_missing_input_is_io_error(capsys):
@@ -336,3 +386,82 @@ def test_main_bad_config_file_exit(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["experiment", "--config", str(bad)])
     assert rc == EXIT_CONFIG
+
+
+def two_source_sweep(**overrides):
+    return small_sweep(**{"seeds": [0], "t60": [0.3, 0.6], "n_sources": 2,
+                          "estimate_error_snr_db": [None, 10.0],
+                          "algorithms": list(cli.ALGORITHMS), **overrides})
+
+
+def test_sweep_computes_each_input_once(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(module, attr):
+        real = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+
+    spy(cli, "_build_scene")
+    spy(cli, "analyze")
+    spy(convpred, "wpe_vanilla")
+    rows = run_experiment(two_source_sweep())["rows"]
+    assert len(rows) == 2 * 2 * len(cli.ALGORITHMS)
+    assert all(r["error"] is None for r in rows)
+    # per scene: one mixture, and one estimate per (estimate error, source)
+    assert calls == {"_build_scene": 2, "analyze": 2 * (1 + 2 * 2),
+                     "wpe_vanilla": 2}
+
+
+def test_sweep_rows_equal_rows_computed_alone():
+    sweep = two_source_sweep()
+    rows = run_experiment(sweep)["rows"]
+    for err in sweep["estimate_error_snr_db"]:
+        for name in sweep["algorithms"]:
+            alone = run_experiment({**sweep, "estimate_error_snr_db": [err],
+                                    "algorithms": [name]})["rows"]
+            assert alone == [r for r in rows if r["estimate_error_snr_db"] == err
+                             and r["algorithm"] == name]
+
+
+def test_sweep_failed_scene_fails_its_rows_only():
+    rows = run_experiment(two_source_sweep(t60=[-1, 0.3]))["rows"]
+    n = 2 * len(cli.ALGORITHMS)
+    assert [r["error"] for r in rows[:n]] == ["t60 must be >= 0"] * n
+    assert all(r["metrics"] is None and r["t60"] == -1 for r in rows[:n])
+    assert all(r["error"] is None for r in rows[n:])
+    # the next scene's rows read the estimate of their own estimate error
+    metrics = {(r["estimate_error_snr_db"], r["algorithm"]): r["metrics"]
+               for r in rows[n:]}
+    for name in cli.ALGORITHMS:
+        same = metrics[(None, name)] == metrics[(10.0, name)]
+        assert same == (not cli.HONOURED[name].reads_estimate)
+
+
+def test_sweep_failed_row_is_computed_for_each_estimate_error(monkeypatch):
+    runs = []
+    run_algorithm = cli.run_algorithm
+
+    def spy(name, *args, **kwargs):
+        runs.append(name)
+        return run_algorithm(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_algorithm", spy)
+    sweep = two_source_sweep(t60=[0.3], algorithms=[
+        {"name": "wpe_vanilla", "passes": 2}, "wpe_vanilla"])
+    rows = run_experiment(sweep)["rows"]
+    error = "passes > 1 applies to single-estimate algorithms, not 'wpe_vanilla'"
+    assert [r["error"] for r in rows] == [error, None] * 2
+    # the failing entry runs for each estimate error, the other one once
+    assert runs == ["wpe_vanilla"] * 3
+
+
+def test_sweep_entry_with_ignored_setting_is_row_error():
+    result = run_experiment(small_sweep(seeds=[0], algorithms=[
+        {"name": "fcp", "lambda_mode": "unit"}, "fcp",
+        {"name": "fcp_per_source", "lambda_mode": "unit"}]))
+    errors = [r["error"] for r in result["rows"]]
+    assert "lambda_mode" in errors[0] and errors[1:] == [None, None]
