@@ -17,12 +17,13 @@ import contextlib
 import copy
 import csv
 import ctypes
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,26 +41,53 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-class _Honours(NamedTuple):
-    settings: tuple        # prediction settings the algorithm applies
+_WPE = ("taps", "delay", "eps", "diag_load")
+_CP = ("taps", "eps", "diag_load")
+
+
+class Algorithm(NamedTuple):
+    defaults: Callable     # PredConfig.for_*: the only source of default values
+    settings: tuple        # PredConfig fields applied; any other explicit one is
+                           # rejected, never echoed and then ignored
     reads_estimate: bool   # False: the target estimates are never read
+    multi_pass: bool       # passes > 1 allowed (one estimate in, one out)
+    run: Callable          # (mix_tf, ests, pred) -> list of T x F outputs
 
 
-_WPE_SETTINGS = ("taps", "delay", "eps", "diag_load")
-_CP_SETTINGS = ("taps", "eps", "diag_load")
-# An explicit setting outside an algorithm's tuple is rejected, never
-# echoed and then ignored; defaults are not checked.
-HONOURED = {
-    "wpe_vanilla": _Honours(_WPE_SETTINGS + ("iters",), False),
-    "wpe_supplied": _Honours(_WPE_SETTINGS, True),
-    "icp": _Honours(_CP_SETTINGS, True),
-    "fcp": _Honours(_CP_SETTINGS, True),
-    "fcp_per_source": _Honours(("taps", "eps", "lambda_mode", "diag_load"), True),
-    "wpe_sf": _Honours(_WPE_SETTINGS, True),
-    "wpe_mf": _Honours(_WPE_SETTINGS, True),
+# Entries call convpred through the module attribute at call time, so a
+# function patched on the module is the one that runs.
+ALGORITHMS = {
+    "wpe_vanilla": Algorithm(
+        convpred.PredConfig.for_wpe, _WPE + ("iters",), False, False,
+        lambda y, ests, p: [convpred.wpe_vanilla(y, p)[0]]),
+    "wpe_supplied": Algorithm(
+        convpred.PredConfig.for_wpe, _WPE, True, True,
+        lambda y, ests, p: [convpred.wpe_supplied(
+            y, convpred.lambda_weights(ests[0], "est_power", p.eps),
+            p.taps, p.delay, p.diag_load)[0]]),
+    "icp": Algorithm(
+        convpred.PredConfig.for_icp, _CP, True, True,
+        lambda y, ests, p: [convpred.icp(y, ests[0], p.taps, eps=p.eps,
+                                         diag_load=p.diag_load)[0]]),
+    "fcp": Algorithm(
+        convpred.PredConfig.for_fcp, _CP, True, True,
+        lambda y, ests, p: [convpred.fcp(y, ests[0], p.taps, eps=p.eps,
+                                         diag_load=p.diag_load)[0]]),
+    "fcp_per_source": Algorithm(
+        convpred.PredConfig.for_fcp, ("taps", "eps", "lambda_mode", "diag_load"),
+        True, False,
+        lambda y, ests, p: convpred.fcp_per_source(
+            y, ests, p.taps, p.lambda_mode, p.eps, p.diag_load)),
+    "wpe_sf": Algorithm(
+        convpred.PredConfig.for_wpe, _WPE, True, False,
+        lambda y, ests, p: [convpred.wpe_multi(
+            y, ests, p.taps, p.delay, p.eps, "sf", p.diag_load)[0]]),
+    "wpe_mf": Algorithm(
+        convpred.PredConfig.for_wpe, _WPE, True, False,
+        lambda y, ests, p: convpred.wpe_multi(
+            y, ests, p.taps, p.delay, p.eps, "mf", p.diag_load)[0]),
 }
-ALGORITHMS = tuple(HONOURED)
-MULTI_OUTPUT = ("fcp_per_source", "wpe_mf")
+PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
 
 
 class ConfigError(ValueError):
@@ -73,47 +101,32 @@ class NumericalError(RuntimeError):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def _algorithm_defaults(name):
+def _algorithm(name):
     if name not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    if name in ("wpe_vanilla", "wpe_supplied", "wpe_sf", "wpe_mf"):
-        return {"taps": 37, "delay": 3, "eps": 0.001, "lambda_mode": "mix_power"}
-    if name == "icp":
-        return {"taps": 40, "delay": 0, "eps": 1.0, "lambda_mode": "est_power"}
-    return {"taps": 40, "delay": 0, "eps": 0.001, "lambda_mode": "mix_power"}
+        raise ConfigError(f"unknown algorithm {name!r}; "
+                          f"choose from {tuple(ALGORITHMS)}")
+    return ALGORITHMS[name]
 
 
-def _reject_ignored(name, given):
-    """ConfigError if a setting in ``given`` is one ``name`` does not apply."""
-    honoured = HONOURED[name].settings
-    ignored = [k for k in given if k not in honoured]
+def _prediction(name, given):
+    """The validated PredConfig of algorithm ``name`` with the explicit
+    settings ``given``, and the settings it applies."""
+    algo = _algorithm(name)
+    ignored = [k for k in given if k not in algo.settings]
     if ignored:
         raise ConfigError(f"algorithm {name!r} does not use {', '.join(ignored)} "
-                          f"(it uses {', '.join(honoured)})")
-
-
-def _pred_settings(config):
-    name = config.get("algorithm", "fcp")
-    settings = _algorithm_defaults(name)
-    given = {k: config[k] for k in
-             ("taps", "delay", "eps", "lambda_mode", "diag_load", "iters")
-             if config.get(k) is not None}
-    _reject_ignored(name, given)
-    settings.update(given)
-    settings.setdefault("diag_load", 1e-6)
-    settings.setdefault("iters", 3)
+                          f"(it uses {', '.join(algo.settings)})")
     try:
-        pred = convpred.PredConfig(
-            taps=int(settings["taps"]), delay=int(settings["delay"]),
-            eps=float(settings["eps"]), lambda_mode=settings["lambda_mode"],
-            diag_load=float(settings["diag_load"]), iters=int(settings["iters"]))
-    except ValueError as exc:
+        pred = algo.defaults(**{
+            f.name: given[f.name] if f.type is str else f.type(given[f.name])
+            for f in PRED_FIELDS if f.name in given})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if name.startswith("wpe") and pred.delay < 1:
+    if "delay" in algo.settings and pred.delay < 1:
         raise ConfigError(
             "WPE requires a prediction delay >= 1: with delay 0 the identity "
             "filter solves the problem exactly and nothing is removed")
-    return name, pred
+    return pred, {k: getattr(pred, k) for k in algo.settings}
 
 
 def load_config(path):
@@ -236,10 +249,7 @@ def cmd_simulate(config):
         "scale": scene.scale,
         "files": files,
     }
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
@@ -247,9 +257,10 @@ def cmd_simulate(config):
 # dereverb
 
 def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
+    """The signals of one path or a list of paths, and their sample rate."""
     out = []
     fs = expected_fs
-    for p in paths:
+    for p in [paths] if isinstance(paths, str) else paths:
         samples, rate = read_wav(p)
         if fs is not None and rate != fs:
             raise ConfigError(f"{p}: sample rate {rate} != {fs}")
@@ -272,44 +283,12 @@ def _build_estimates(config, refs, cfg, n_samples):
         return [analyze(degrade(r, float(err), seed + i), cfg).data
                 for i, r in enumerate(refs)], mode
     if mode == "external":
-        paths = config.get("estimate") or []
-        if isinstance(paths, str):
-            paths = [paths]
+        paths = config.get("estimate")
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
         signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
         return [analyze(sig, cfg).data for sig in signals], mode
     raise ConfigError(f"unknown estimate_mode {mode!r}")
-
-
-def _single_pass(name, pred, mix_tf, ests):
-    if name == "wpe_vanilla":
-        out, _, _ = convpred.wpe_vanilla(mix_tf, pred)
-        return [out]
-    if not ests:
-        raise ConfigError(f"algorithm {name!r} needs a target estimate")
-    if name == "wpe_supplied":
-        lam = convpred.lambda_weights(ests[0], "est_power", pred.eps)
-        return [convpred.wpe_supplied(mix_tf, lam, pred.taps, pred.delay,
-                                      pred.diag_load)[0]]
-    if name == "icp":
-        return [convpred.icp(mix_tf, ests[0], pred.taps, eps=pred.eps,
-                             diag_load=pred.diag_load)[0]]
-    if name == "fcp":
-        return [convpred.fcp(mix_tf, ests[0], pred.taps, eps=pred.eps,
-                             diag_load=pred.diag_load)[0]]
-    if name == "fcp_per_source":
-        return convpred.fcp_per_source(mix_tf, ests, pred.taps,
-                                       pred.lambda_mode, pred.eps, pred.diag_load)
-    if name == "wpe_sf":
-        out, _ = convpred.wpe_multi(mix_tf, ests, pred.taps, pred.delay,
-                                    pred.eps, "sf", pred.diag_load)
-        return [out]
-    if name == "wpe_mf":
-        outs, _ = convpred.wpe_multi(mix_tf, ests, pred.taps, pred.delay,
-                                     pred.eps, "mf", pred.diag_load)
-        return outs
-    raise ConfigError(f"unknown algorithm {name!r}")
 
 
 def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
@@ -325,29 +304,54 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
     Returns:
         list of T x F output arrays.
     """
+    algo = _algorithm(name)
     if passes < 1:
         raise ConfigError("passes must be >= 1")
-    if passes > 1 and name not in ("wpe_supplied", "icp", "fcp"):
+    if passes > 1 and not algo.multi_pass:
         raise ConfigError(f"passes > 1 applies to single-estimate algorithms, "
                           f"not {name!r}")
     if passes > 1 and n_samples is None:
         raise ConfigError("passes > 1 needs the mixture sample count")
-    cfg = mix_spec.config
-    outputs = None
-    for _ in range(passes):
-        outputs = _single_pass(name, pred, mix_spec.data, ests)
-        if passes > 1:
-            ests = [analyze(synthesize(mix_spec.with_data(outputs[0]),
-                                       n_samples), cfg).data]
+    if algo.reads_estimate and not ests:
+        raise ConfigError(f"algorithm {name!r} needs a target estimate")
+    outputs = algo.run(mix_spec.data, ests, pred)
+    for _ in range(passes - 1):  # the last pass's output is never fed back
+        ests = [analyze(synthesize(mix_spec.with_data(outputs[0]), n_samples),
+                        mix_spec.config).data]
+        outputs = algo.run(mix_spec.data, ests, pred)
     return outputs
 
 
-def _metric_dict(est, ref, max_lag):
-    return metrics.MetricsReport(
-        si_sdr=metrics.si_sdr(est, ref),
-        sdr_512=metrics.sdr_512(est, ref),
-        gcc_phat_delay=metrics.gcc_phat_delay(est, ref, max_lag),
-    ).to_dict()
+def _enhanced(mix_tf, outputs_tf, n_samples):
+    """Time-domain signals of the algorithm's T x F outputs."""
+    return [synthesize(mix_tf.with_data(_check_finite(out, "enhanced spectrogram")),
+                       n_samples) for out in outputs_tf]
+
+
+def _source_metrics(outputs, mixture, refs, max_lag, unprocessed):
+    """Metrics of each output c, and of the mixture, against reference
+    min(c, len(refs) - 1).
+
+    ``unprocessed`` maps a reference index to the mixture's metrics and is
+    filled here, only with metrics that succeeded.
+    """
+    per_source = []
+    for c, sig in enumerate(outputs):
+        r = min(c, len(refs) - 1)
+        if r not in unprocessed:
+            unprocessed[r] = metrics.evaluate_pair(mixture, refs[r], max_lag).to_dict()
+        per_source.append({
+            "source": c,
+            "unprocessed": unprocessed[r],
+            "enhanced": metrics.evaluate_pair(sig, refs[r], max_lag).to_dict(),
+        })
+    return per_source
+
+
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_dereverb(config):
@@ -355,7 +359,9 @@ def cmd_dereverb(config):
     mixture_path = config.get("mixture")
     if not mixture_path:
         raise ConfigError("a mixture WAV is required")
-    name, pred = _pred_settings(config)
+    name = config.get("algorithm", "fcp")
+    pred, _ = _prediction(name, {f.name: config[f.name] for f in PRED_FIELDS
+                                 if config.get(f.name) is not None})
     passes = int(config.get("passes", 1))
     if passes < 1:
         raise ConfigError("passes must be >= 1")
@@ -368,66 +374,43 @@ def cmd_dereverb(config):
         raise ConfigError(f"{mixture_path}: {exc}") from exc
     mix_tf = analyze(mixture, cfg)
 
-    ref_paths = config.get("reference") or []
-    if isinstance(ref_paths, str):
-        ref_paths = [ref_paths]
-    refs, _ = _load_signals(ref_paths, fs, mixture.size, "reference")
+    refs, _ = _load_signals(config.get("reference") or [], fs, mixture.size,
+                            "reference")
 
     ests = []
     est_mode = None
-    if HONOURED[name].reads_estimate:
+    if ALGORITHMS[name].reads_estimate:
         if config.get("estimate_mode", "oracle") != "external" and not refs:
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
         ests, est_mode = _build_estimates(config, refs, cfg, mixture.size)
 
-    outputs_tf = run_algorithm(name, pred, mix_tf, ests, passes, mixture.size)
-    outputs = []
-    for out_tf in outputs_tf:
-        _check_finite(out_tf, "enhanced spectrogram")
-        outputs.append(synthesize(mix_tf.with_data(out_tf), mixture.size))
+    outputs = _enhanced(mix_tf, run_algorithm(name, pred, mix_tf, ests, passes,
+                                              mixture.size), mixture.size)
 
-    out_path = config.get("output")
     written = []
-    if out_path:
-        out_path = Path(out_path)
-        encoding = config.get("encoding", "float32")
-        if len(outputs) == 1:
-            write_wav(out_path, outputs[0], fs, encoding)
-            written.append(str(out_path))
-        else:
-            for c, sig in enumerate(outputs):
-                p = out_path.with_name(f"{out_path.stem}_{c}{out_path.suffix}")
-                write_wav(p, sig, fs, encoding)
-                written.append(str(p))
+    if config.get("output"):
+        out_path = Path(config["output"])
+        for c, sig in enumerate(outputs):  # out.wav, or out_0.wav, out_1.wav, ...
+            p = out_path if len(outputs) == 1 else out_path.with_name(
+                f"{out_path.stem}_{c}{out_path.suffix}")
+            write_wav(p, sig, fs, config.get("encoding", "float32"))
+            written.append(str(p))
 
     max_lag = int(config.get("max_lag", 512))
     report = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": name,
-        "pred": {"taps": pred.taps, "delay": pred.delay, "eps": pred.eps,
-                 "lambda_mode": pred.lambda_mode, "diag_load": pred.diag_load,
-                 "iters": pred.iters},
+        "pred": dataclasses.asdict(pred),
         "estimate_mode": est_mode,
         "passes": passes,
         "sample_rate": fs,
         "outputs": written,
     }
     if refs:
-        per_source = []
-        for c, sig in enumerate(outputs):
-            ref = refs[min(c, len(refs) - 1)]
-            per_source.append({
-                "source": c,
-                "unprocessed": _metric_dict(mixture, ref, max_lag),
-                "enhanced": _metric_dict(sig, ref, max_lag),
-            })
-        report["metrics"] = per_source
-    report_path = config.get("report")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        report["metrics"] = _source_metrics(outputs, mixture, refs, max_lag, {})
+    if config.get("report"):
+        _write_json(config["report"], report)
     return report
 
 
@@ -441,16 +424,11 @@ def cmd_evaluate(config):
         raise ConfigError("evaluate needs an estimate WAV and a reference WAV")
     est, fs = _load_signals([est_path], what="estimate")
     ref, _ = _load_signals([ref_path], fs, est[0].size, "reference")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "sample_rate": fs,
-        **_metric_dict(est[0], ref[0], int(config.get("max_lag", 512))),
-    }
-    report_path = config.get("report")
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    scores = metrics.evaluate_pair(est[0], ref[0], int(config.get("max_lag", 512)))
+    report = {"schema_version": SCHEMA_VERSION, "sample_rate": fs,
+              **scores.to_dict()}
+    if config.get("report"):
+        _write_json(config["report"], report)
     return report
 
 
@@ -458,17 +436,18 @@ def cmd_evaluate(config):
 # experiment
 
 def _sweep_algorithms(sweep):
-    """(name, settings, explicitly given setting keys) per algorithm entry."""
-    entries = sweep.get("algorithms", ["fcp"])
+    """(name, explicit settings, passes, row settings) per algorithm entry."""
     out = []
-    for entry in entries:
+    for entry in sweep.get("algorithms", ["fcp"]):
         if isinstance(entry, str):
             entry = {"name": entry}
         name = entry.get("name")
-        settings = _algorithm_defaults(name)
+        defaults = _algorithm(name).defaults()
+        settings = {k: getattr(defaults, k)
+                    for k in ("taps", "delay", "eps", "lambda_mode")}
         settings.update({k: v for k, v in entry.items() if k != "name"})
-        given = [k for k in entry if k not in ("name", "passes")]
-        out.append((name, settings, given))
+        given = {k: v for k, v in entry.items() if k not in ("name", "passes")}
+        out.append((name, given, entry.get("passes", 1), settings))
     return out
 
 
@@ -496,39 +475,19 @@ def _sweep_estimates(scene, cfg, seed, est_err):
             for c, d in enumerate(scene.direct)]
 
 
-def _sweep_row_metrics(sweep, name, settings, given, scene, mix_tf, ests,
+def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests,
                        unprocessed):
     """Run one algorithm entry on a prepared scene; returns its per-source
     metrics.
 
-    ``unprocessed`` maps a reference index to the mixture's metrics on this
-    scene, shared by the rows. It is filled after the algorithm has run, so
-    an algorithm error is raised before a metric error, and only with
-    metrics that succeeded.
+    ``unprocessed`` holds the mixture's metrics on this scene, shared by the
+    rows. It is filled after the algorithm has run, so an algorithm error is
+    raised before a metric error.
     """
-    _reject_ignored(name, given)
-    pred = convpred.PredConfig(
-        taps=int(settings["taps"]), delay=int(settings["delay"]),
-        eps=float(settings["eps"]), lambda_mode=settings["lambda_mode"],
-        diag_load=float(settings.get("diag_load", 1e-6)),
-        iters=int(settings.get("iters", 3)))
-    passes = int(settings.get("passes", 1))
-    outputs_tf = run_algorithm(name, pred, mix_tf, ests, passes, scene.n_samples)
-
-    max_lag = int(sweep.get("max_lag", 512))
-    per_source = []
-    for c, out_tf in enumerate(outputs_tf):
-        _check_finite(out_tf, "enhanced spectrogram")
-        out = synthesize(mix_tf.with_data(out_tf), scene.n_samples)
-        r = min(c, scene.n_sources - 1)
-        if r not in unprocessed:
-            unprocessed[r] = _metric_dict(scene.y, scene.direct[r], max_lag)
-        per_source.append({
-            "source": c,
-            "unprocessed": unprocessed[r],
-            "enhanced": _metric_dict(out, scene.direct[r], max_lag),
-        })
-    return per_source
+    pred, _ = _prediction(name, given)
+    outputs_tf = run_algorithm(name, pred, mix_tf, ests, int(passes), scene.n_samples)
+    return _source_metrics(_enhanced(mix_tf, outputs_tf, scene.n_samples), scene.y,
+                           scene.direct, int(sweep.get("max_lag", 512)), unprocessed)
 
 
 def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
@@ -551,13 +510,13 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
                 ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err)
             except Exception as exc:  # recorded in each row that reads them
                 est_error = str(exc)
-        for i, (name, settings, given) in enumerate(algorithms):
-            reads_estimate = HONOURED[name].reads_estimate
+        for i, (name, given, passes, settings) in enumerate(algorithms):
+            reads_estimate = ALGORITHMS[name].reads_estimate
             error = est_error if reads_estimate else scene_error
             per_source = estimate_free.get(i)
             if error is None and per_source is None:
                 try:
-                    per_source = _sweep_row_metrics(sweep, name, settings, given,
+                    per_source = _sweep_row_metrics(sweep, name, given, passes,
                                                     scene, mix_tf, ests, unprocessed)
                 except Exception as exc:  # recorded, sweep continues
                     error = str(exc)
@@ -661,11 +620,8 @@ def cmd_experiment(config):
     if not isinstance(sweep, dict):
         raise ConfigError("sweep config must be a JSON object")
     result = run_experiment(sweep)
-    out = config.get("output")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    if config.get("output"):
+        _write_json(config["output"], result)
     if config.get("csv"):
         _write_csv(result, config["csv"])
     return result

@@ -142,11 +142,7 @@ def lambda_weights(ref_spec, mode, eps):
         raise ValueError(f"unknown lambda mode {mode!r}")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
-    power = np.abs(z) ** 2
-    peak = power.max()
-    if peak == 0.0:
-        raise ValueError("all-zero spectrogram: weighting floor undefined")
-    return np.maximum(eps * peak, power)
+    return _floored_power(np.abs(z) ** 2, eps)
 
 
 def build_stack(z, taps, delay):
@@ -468,14 +464,8 @@ def fcp_per_source(mixture, ests, taps=40, lambda_mode="mix_power", eps=0.001,
     outputs = []
     for est in ests:
         s = _as_tf(est)
-        if lambda_mode == "unit":
-            weights = np.ones(y.shape)
-        elif lambda_mode == "mix_power":
-            weights = lambda_weights(y, "mix_power", eps)
-        elif lambda_mode == "est_power":
-            weights = lambda_weights(s, "est_power", eps)
-        else:
-            raise ValueError(f"unknown lambda mode {lambda_mode!r}")
+        weights = lambda_weights(s if lambda_mode == "est_power" else y,
+                                 lambda_mode, eps)
         shat, _, _ = fcp(y, s, taps, weights, eps, diag_load)
         outputs.append(shat)
     return outputs

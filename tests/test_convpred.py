@@ -465,6 +465,17 @@ def test_fcp_per_source_single_source_identical(reverb_scene, cfg8k):
     np.testing.assert_array_equal(outs[0], direct)
 
 
+@pytest.mark.parametrize("mode", ["unit", "mix_power", "est_power"])
+def test_fcp_per_source_weights_each_source_like_fcp(two_speaker_scene, cfg8k, mode):
+    sc = two_speaker_scene
+    y = analyze(sc.y, cfg8k).data
+    ests = [make_estimate(sc, c, "oracle", cfg=cfg8k).data for c in range(2)]
+    outs = fcp_per_source(y, ests, lambda_mode=mode)
+    for est, out in zip(ests, outs):
+        weights = lambda_weights(est if mode == "est_power" else y, mode, 0.001)
+        np.testing.assert_array_equal(out, fcp(y, est, weights=weights)[0])
+
+
 def test_fcp_per_source_improves_both_sources(two_speaker_scene, cfg8k):
     sc = two_speaker_scene
     y = analyze(sc.y, cfg8k)
