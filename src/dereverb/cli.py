@@ -257,7 +257,6 @@ def cmd_simulate(config):
 # dereverb
 
 def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
-    """The signals of one path or a list of paths, and their sample rate."""
     out = []
     fs = expected_fs
     for p in [paths] if isinstance(paths, str) else paths:
@@ -330,11 +329,7 @@ def _enhanced(mix_tf, outputs_tf, n_samples):
 
 def _source_metrics(outputs, mixture, refs, max_lag, unprocessed):
     """Metrics of each output c, and of the mixture, against reference
-    min(c, len(refs) - 1).
-
-    ``unprocessed`` maps a reference index to the mixture's metrics and is
-    filled here, only with metrics that succeeded.
-    """
+    min(c, len(refs) - 1); ``unprocessed`` caches the mixture's by reference."""
     per_source = []
     for c, sig in enumerate(outputs):
         r = min(c, len(refs) - 1)
@@ -360,8 +355,8 @@ def cmd_dereverb(config):
     if not mixture_path:
         raise ConfigError("a mixture WAV is required")
     name = config.get("algorithm", "fcp")
-    pred, _ = _prediction(name, {f.name: config[f.name] for f in PRED_FIELDS
-                                 if config.get(f.name) is not None})
+    pred, applied = _prediction(name, {f.name: config[f.name] for f in PRED_FIELDS
+                                       if config.get(f.name) is not None})
     passes = int(config.get("passes", 1))
     if passes < 1:
         raise ConfigError("passes must be >= 1")
@@ -401,7 +396,7 @@ def cmd_dereverb(config):
     report = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": name,
-        "pred": dataclasses.asdict(pred),
+        "pred": applied,
         "estimate_mode": est_mode,
         "passes": passes,
         "sample_rate": fs,
@@ -436,17 +431,21 @@ def cmd_evaluate(config):
 # experiment
 
 def _sweep_algorithms(sweep):
-    """(name, explicit settings, passes, row settings) per algorithm entry."""
+    """(name, explicit settings, passes, row settings) per algorithm entry.
+    Row settings are the applied ones (the given ones if invalid) and passes."""
     out = []
     for entry in sweep.get("algorithms", ["fcp"]):
         if isinstance(entry, str):
             entry = {"name": entry}
         name = entry.get("name")
-        defaults = _algorithm(name).defaults()
-        settings = {k: getattr(defaults, k)
-                    for k in ("taps", "delay", "eps", "lambda_mode")}
-        settings.update({k: v for k, v in entry.items() if k != "name"})
+        _algorithm(name)  # an unknown name fails the whole sweep
         given = {k: v for k, v in entry.items() if k not in ("name", "passes")}
+        try:
+            settings = _prediction(name, given)[1]
+        except ConfigError:  # each of the entry's rows records the error
+            settings = dict(given)
+        if "passes" in entry:
+            settings["passes"] = entry["passes"]
         out.append((name, given, entry.get("passes", 1), settings))
     return out
 

@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +157,58 @@ def test_dereverb_rejects_setting_the_algorithm_ignores(scene_dir, tmp_path,
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and ignored in err
+
+
+# a value other than every algorithm's default, for each PredConfig field
+NON_DEFAULT = {"taps": 8, "delay": 2, "eps": 0.05, "lambda_mode": "unit",
+               "diag_load": 0.1, "iters": 1}
+
+
+@pytest.fixture(scope="module")
+def duo_1s(tmp_path_factory):
+    out = tmp_path_factory.mktemp("duo_1s")
+    cmd_simulate(simulate_args(out, duration_s=1.0, n_sources=2, snr_db=None))
+    return out
+
+
+@pytest.mark.parametrize("name", list(cli.ALGORITHMS))
+def test_algorithm_table_entry_contract(duo_1s, tmp_path, capsys, name):
+    """Every applied setting changes the output, every other one exits 2,
+    and reports list exactly the applied settings."""
+    entry = cli.ALGORITHMS[name]
+    base = ["dereverb", "--mixture", str(duo_1s / "y.wav"),
+            "--reference", str(duo_1s / "s0.wav"),
+            "--reference", str(duo_1s / "s1.wav"), "--algorithm", name]
+    applied = {k: getattr(entry.defaults(), k) for k in entry.settings}
+
+    def run(setting=None):
+        out = tmp_path / (setting or "default")
+        out.mkdir()
+        flags = [] if setting is None else [f"--{setting.replace('_', '-')}",
+                                            str(NON_DEFAULT[setting])]
+        assert main(base + flags + ["--output", str(out / "o.wav"),
+                                    "--report", str(out / "r.json")]) == EXIT_OK
+        report = json.loads((out / "r.json").read_text())
+        return [Path(p).read_bytes() for p in report["outputs"]], report["pred"]
+
+    default, pred = run()
+    assert pred == applied
+    for setting in entry.settings:
+        assert NON_DEFAULT[setting] != applied[setting]
+        changed, pred = run(setting)
+        assert changed != default, setting
+        assert pred == {**applied, setting: NON_DEFAULT[setting]}
+    for field in dataclasses.fields(convpred.PredConfig):
+        if field.name in entry.settings:
+            continue
+        capsys.readouterr()
+        assert main(base + [f"--{field.name.replace('_', '-')}",
+                            str(NON_DEFAULT[field.name])]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field.name in err
+    row, = run_experiment(small_sweep(seeds=[0], n_sources=2,
+                                      algorithms=[name]))["rows"]
+    assert row["error"] is None and row["settings"] == applied
 
 
 def _nan_copy(src, dst):
@@ -393,7 +447,7 @@ def test_early_only_ordering_mini_sweep():
         parsed = json.loads(key)
         label = (parsed["algorithm"], parsed["settings"].get("delay"))
         means[label] = agg["mean_si_sdr_db"]
-    fcp_mean = means[("fcp", 0)]
+    fcp_mean = means[("fcp", None)]
     for d in (1, 2, 3, 4):
         assert fcp_mean > means[("wpe_supplied", d)]
 
