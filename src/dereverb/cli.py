@@ -87,7 +87,7 @@ ALGORITHMS = {
         lambda y, ests, p: convpred.wpe_multi(
             y, ests, p.taps, p.delay, p.eps, "mf", p.diag_load)[0]),
 }
-PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
+_PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
 
 
 class ConfigError(ValueError):
@@ -119,7 +119,7 @@ def _prediction(name, given):
     try:
         pred = algo.defaults(**{
             f.name: given[f.name] if f.type is str else f.type(given[f.name])
-            for f in PRED_FIELDS if f.name in given})
+            for f in _PRED_FIELDS if f.name in given})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if "delay" in algo.settings and pred.delay < 1:
@@ -355,8 +355,9 @@ def cmd_dereverb(config):
     if not mixture_path:
         raise ConfigError("a mixture WAV is required")
     name = config.get("algorithm", "fcp")
-    pred, applied = _prediction(name, {f.name: config[f.name] for f in PRED_FIELDS
-                                       if config.get(f.name) is not None})
+    given = {f.name: config[f.name] for f in _PRED_FIELDS
+             if config.get(f.name) is not None}
+    pred, applied = _prediction(name, given)
     passes = int(config.get("passes", 1))
     if passes < 1:
         raise ConfigError("passes must be >= 1")

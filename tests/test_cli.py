@@ -159,6 +159,15 @@ def test_dereverb_rejects_setting_the_algorithm_ignores(scene_dir, tmp_path,
     assert err.startswith("config error:") and ignored in err
 
 
+def test_dereverb_setting_of_wrong_type_is_config_error(scene_dir, tmp_path, capsys):
+    config = tmp_path / "fcp.json"
+    config.write_text(json.dumps({"mixture": str(scene_dir / "y.wav"),
+                                  "reference": str(scene_dir / "s.wav"),
+                                  "algorithm": "fcp", "taps": [40]}))
+    assert main(["dereverb", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 # a value other than every algorithm's default, for each PredConfig field
 NON_DEFAULT = {"taps": 8, "delay": 2, "eps": 0.05, "lambda_mode": "unit",
                "diag_load": 0.1, "iters": 1}
