@@ -16,11 +16,9 @@ import argparse
 import contextlib
 import copy
 import csv
-import ctypes
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import convpred, metrics
+from ._blas import numpy_openblas as _numpy_openblas
 from .scene import (RirSpec, degrade, gen_rir, render_scene, strip_late,
                     synth_speech)
 from .stft import StftConfig, analyze, synthesize
@@ -706,29 +705,6 @@ _COMMAND_KEYS = {
 # ---------------------------------------------------------------------------
 # entry point
 
-def _numpy_openblas():
-    """The thread-count getter and setter of the OpenBLAS numpy has loaded.
-
-    Only the copy bundled in numpy's wheel is looked up, and it is opened
-    with RTLD_NOLOAD, so no second copy is ever loaded. Returns None when
-    numpy uses another BLAS (MKL, Accelerate, a system OpenBLAS).
-    """
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return None
-    libs_dir = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs_dir.glob("libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get_threads = lib.scipy_openblas_get_num_threads64_
-            set_threads = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        return get_threads, set_threads
-    return None
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS on one thread, then restore the
@@ -736,7 +712,8 @@ def _one_blas_thread():
 
     The solver's Gram products are batches of small per-bin GEMMs that
     OpenBLAS's worker threads do not speed up; next to a busy process each
-    of them waits for a descheduled worker. No-op without numpy's OpenBLAS.
+    of them waits for a descheduled worker. With one BLAS thread the solver
+    spreads its bins over the cores itself. No-op without numpy's OpenBLAS.
     The count is process-wide, so calls that overlap in several threads
     may restore each other's value.
     """

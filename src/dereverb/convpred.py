@@ -4,8 +4,12 @@ inverse convolutive prediction (ICP), forward convolutive prediction (FCP),
 and their multi-source variants.
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
-Frequency bins are solved independently in batched linear-algebra calls;
-there is no shared mutable state, so everything here is safe to call
+Frequency bins are solved independently in batched linear-algebra calls.
+When numpy's OpenBLAS runs on one thread, ``solve_wls`` and ``apply_filter``
+split the bins into one contiguous range per core and run each range on a
+thread pool that lives for that call only; every bin goes through the same
+calls on the same data as on one thread, so the results are bit-identical.
+There is no shared mutable state, so everything here is safe to call
 concurrently.
 
 Conventions:
@@ -17,10 +21,13 @@ Conventions:
     coefficients c with prediction = sum_k c[k] * z(t - delay - k).
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .stft import ComplexSpectrogram
 
 
@@ -173,24 +180,63 @@ def apply_filter(filters, z):
         (T, F) complex array.
     """
     stack = build_stack(z, filters.taps, filters.delay)  # (F, T, K)
-    pred = stack @ np.conj(filters.filters)[:, :, None]  # (F, T, 1)
+    g = np.conj(filters.filters)[:, :, None]
+    pred = np.empty((stack.shape[0], stack.shape[1], 1), dtype=np.complex128)
+    _over_bins(stack.shape[0], lambda lo, hi, _: np.matmul(
+        stack[lo:hi], g[lo:hi], out=pred[lo:hi]))
     return np.ascontiguousarray(pred[:, :, 0].T)
 
 
-# Bins per weighted GEMM in solve_wls. A block needs two (block, K+1, T)
-# complex buffers, 5.3 MB each at 16 kHz (K = 40, T = 503); blocks of 8 to
-# 32 bins ran fastest there, 64 and up slower as the buffers leave the cache.
+# Bins buffered at a time by all workers of solve_wls together, and the most
+# workers it uses. Each of W workers runs weighted GEMMs over blocks of
+# _BIN_BLOCK // W bins; a block needs two (block, K+1, T) complex buffers,
+# 5.3 MB each for 16 bins at 16 kHz (K = 40, T = 503). Blocks of 8 to 32
+# bins ran fastest there on one thread, 64 and up slower as the buffers
+# leave the cache.
 _BIN_BLOCK = 16
 
 
-def _weighted_gram(z, d, taps, delay, w):
+def _bin_workers(n_bins):
+    """Threads to spread n_bins bins over: one per core the process may
+    run on, at most _BIN_BLOCK and n_bins, when numpy's OpenBLAS runs on one
+    thread; otherwise 1, because OpenBLAS's own threads would compete with
+    the pool's for the same cores."""
+    blas = _blas.numpy_openblas()
+    if blas is None or blas[0]() != 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _BIN_BLOCK, n_bins)
+
+
+def _over_bins(n_bins, run):
+    """Call run(lo, hi, block) on one contiguous bin range per worker and
+    return the results in bin order.
+
+    block is the number of bins the worker may buffer at a time, so the
+    workers together buffer _BIN_BLOCK bins. The calling thread takes the
+    first range; the others run on a pool that lives for this call only.
+    With one worker this is run(0, n_bins, _BIN_BLOCK) on the calling
+    thread.
+    """
+    workers = _bin_workers(n_bins)
+    if workers <= 1:
+        return [run(0, n_bins, _BIN_BLOCK)]
+    block = _BIN_BLOCK // workers
+    edges = [n_bins * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(run, lo, hi, block)
+                for lo, hi in zip(edges[1:-1], edges[2:])]
+        first = run(edges[0], edges[1], block)
+        return [first] + [future.result() for future in rest]
+
+
+def _weighted_gram(z, d, taps, delay, w, block):
     """Per-bin [[R, r], [r^H, e]] of the augmented sqrt-weighted stack.
 
     Row k < K of the (K+1, T - delay) matrix M of bin f holds
     z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
     d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
     left out. M @ M^H then carries the Gram matrix R and the right-hand side
-    r of the normal equations. Bins are processed in blocks of _BIN_BLOCK
+    r of the normal equations. Bins are processed in blocks of ``block``
     so the working set stays bounded whatever the number of bins.
 
     Returns:
@@ -206,7 +252,7 @@ def _weighted_gram(z, d, taps, delay, w):
     zp[:, taps - 1:] = z[:n_cols].T
     sqrt_inv_w = np.sqrt(1.0 / w[delay:].T)        # (F, n_cols)
     d_t = d[delay:].T
-    block = min(_BIN_BLOCK, n_bins)
+    block = min(block, n_bins)
     aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
     aug_conj = np.empty_like(aug)
     for lo in range(0, n_bins, block):
@@ -230,6 +276,36 @@ def _refined_solve(gram, rhs):
     return sol
 
 
+def _solve_range(z, d, taps, delay, w, diag_load, block):
+    """solve_wls's filters for validated inputs, GEMM blocks of ``block``
+    bins; returns an (F, K) array."""
+    n_bins = z.shape[1]
+    full = _weighted_gram(z, d, taps, delay, w, block)
+    gram = full[:, :taps, :taps]                    # (F, K, K)
+    rhs = full[:, :taps, taps:]                     # (F, K, 1)
+
+    trace = np.einsum("fkk->f", gram).real
+    live = trace > 0
+    filters = np.zeros((n_bins, taps), dtype=np.complex128)
+    if np.any(live):
+        g_live = gram[live]
+        b_live = rhs[live]
+        if diag_load > 0:
+            load = diag_load * trace[live] / taps
+            g_live = g_live + load[:, None, None] * np.eye(taps)
+        try:
+            sol = _refined_solve(g_live, b_live)
+        except np.linalg.LinAlgError:
+            # slogdet's LU meets the same exact zero pivot that failed the solve
+            singular = np.linalg.slogdet(g_live)[0] == 0
+            sol = np.empty_like(b_live)
+            sol[~singular] = _refined_solve(g_live[~singular], b_live[~singular])
+            for i in np.flatnonzero(singular):
+                sol[i] = np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
+        filters[live] = sol[:, :, 0]
+    return filters
+
+
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     """Closed-form weighted least-squares filter bank, one filter per bin.
 
@@ -245,8 +321,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     The Gram matrix R and right-hand side r come from one GEMM per block
     of bins over the augmented stack [A | d] / sqrt(weights), whose
     conjugate outer product is [[R, r], [r^H, .]]. The working set is two
-    (block, K+1, T) buffers plus the (F, K+1, K+1) products, independent
-    of the number of bins beyond that.
+    (_BIN_BLOCK, K+1, T) buffers, shared out among the workers, plus the
+    (F, K+1, K+1) products, independent of the number of bins beyond that.
+    When numpy's OpenBLAS runs on one thread the bins are split into one
+    contiguous range per core, each solved on its own thread.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -275,31 +353,9 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and strictly positive")
 
-    n_bins = z.shape[1]
-    full = _weighted_gram(z, d, taps, delay, w)
-    gram = full[:, :taps, :taps]                    # (F, K, K)
-    rhs = full[:, :taps, taps:]                     # (F, K, 1)
-
-    trace = np.einsum("fkk->f", gram).real
-    live = trace > 0
-    filters = np.zeros((n_bins, taps), dtype=np.complex128)
-    if np.any(live):
-        g_live = gram[live]
-        b_live = rhs[live]
-        if diag_load > 0:
-            load = diag_load * trace[live] / taps
-            g_live = g_live + load[:, None, None] * np.eye(taps)
-        try:
-            sol = _refined_solve(g_live, b_live)
-        except np.linalg.LinAlgError:
-            # slogdet's LU meets the same exact zero pivot that failed the solve
-            singular = np.linalg.slogdet(g_live)[0] == 0
-            sol = np.empty_like(b_live)
-            sol[~singular] = _refined_solve(g_live[~singular], b_live[~singular])
-            for i in np.flatnonzero(singular):
-                sol[i] = np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
-        filters[live] = sol[:, :, 0]
-    return FilterBank(filters, delay)
+    parts = _over_bins(z.shape[1], lambda lo, hi, block: _solve_range(
+        z[:, lo:hi], d[:, lo:hi], taps, delay, w[:, lo:hi], diag_load, block))
+    return FilterBank(np.concatenate(parts), delay)
 
 
 def _floored_power(power, eps):

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +317,27 @@ def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
     assert (rc, rc_io) == (EXIT_OK, EXIT_IO)
     assert seen == [1]
     assert after_ok == before and after_error == before
+
+
+def test_main_spreads_solver_bins_over_cores(scene_dir, monkeypatch):
+    if cli._numpy_openblas() is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the process may run on one core only")
+    idents = set()
+    solve_range = convpred._solve_range
+
+    def spy(*args, **kwargs):
+        idents.add(threading.get_ident())
+        return solve_range(*args, **kwargs)
+
+    monkeypatch.setattr(convpred, "_solve_range", spy)
+    before = threading.active_count()
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp"])
+    assert rc == EXIT_OK
+    assert len(idents) >= 2
+    assert threading.active_count() == before
 
 
 def _library_output(scene_dir, name):

@@ -1,6 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from dereverb import _blas, convpred
 from dereverb import (FilterBank, PredConfig, analyze, apply_filter,
                       build_stack, fcp, fcp_per_source, icp, iterate,
                       lambda_weights, make_estimate, si_sdr, solve_wls,
@@ -184,6 +188,123 @@ def test_solver_input_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         solve_wls(bad, z, 2, 0, np.ones((10, 2)))
+
+
+# ---------------------------------------------------------------------------
+# bin ranges on worker threads
+
+def run_on_workers(monkeypatch, workers, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with solve_wls/apply_filter split over
+    ``workers`` threads (at most one per bin)."""
+    with monkeypatch.context() as m:
+        m.setattr(convpred, "_bin_workers", lambda n_bins: min(workers, n_bins))
+        return fn(*args, **kwargs)
+
+
+def ranged_instance(bins, delay, taps=4, frames=40):
+    """Random problem whose first bin is dead (all-zero stack) and whose last
+    bin has an exactly singular Gram matrix: only frame T-1-delay is nonzero,
+    so only tap 0 ever sees it. With two or more workers the two bins land
+    in different ranges."""
+    rng = np.random.default_rng(bins + 10 * delay)
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    lam = rng.uniform(0.5, 2.0, (frames, bins))
+    if bins > 1:
+        z[:, 0] = 0.0
+    z[:, -1] = 0.0
+    z[frames - 1 - delay, -1] = 2.0 - 1.0j
+    return z, d, taps, delay, lam
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+@pytest.mark.parametrize("bins", [1, 3, _BIN_BLOCK - 1, 2 * _BIN_BLOCK + 3, 129])
+def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
+    z, d, taps, delay, lam = ranged_instance(bins, delay)
+    lstsq_calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        lstsq_calls.append(threading.get_ident())
+        return lstsq(*args, **kwargs)
+
+    blocks = []
+    weighted_gram = convpred._weighted_gram
+
+    def block_spy(*args):
+        blocks.append(args[-1])
+        return weighted_gram(*args)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(convpred, "_weighted_gram", block_spy)
+    one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay, lam,
+                         diag_load=0.0).filters
+    assert len(lstsq_calls) == 1
+    for workers in (2, 3):
+        blocks.clear()
+        many = run_on_workers(monkeypatch, workers, solve_wls, z, d, taps,
+                              delay, lam, diag_load=0.0).filters
+        np.testing.assert_array_equal(many, one)
+        # the workers together buffer no more bins than one thread does
+        assert len(blocks) * max(blocks) <= _BIN_BLOCK
+        pred = [run_on_workers(monkeypatch, w, apply_filter,
+                               FilterBank(one, delay), z) for w in (1, workers)]
+        np.testing.assert_array_equal(pred[1], pred[0])
+    assert len(lstsq_calls) == 3
+    if bins > 1:
+        assert np.all(one[0] == 0)
+
+
+def test_algorithms_bit_identical_on_any_worker_count(monkeypatch, reverb_scene,
+                                                      cfg8k):
+    y = analyze(reverb_scene.y, cfg8k).data
+    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k).data
+    cfg = PredConfig.for_wpe()
+    for workers in (2, 4):
+        for fn, args in ((fcp, (y, est)), (wpe_vanilla, (y, cfg))):
+            one = run_on_workers(monkeypatch, 1, fn, *args)
+            many = run_on_workers(monkeypatch, workers, fn, *args)
+            np.testing.assert_array_equal(many[0], one[0])
+            np.testing.assert_array_equal(many[1].filters, one[1].filters)
+
+
+def test_workers_only_with_one_blas_thread(monkeypatch):
+    blas = _blas.numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    get_threads, set_threads = blas
+    cores = len(os.sched_getaffinity(0))
+    original = get_threads()
+    try:
+        set_threads(2)
+        assert convpred._bin_workers(257) == 1
+        set_threads(1)
+        assert convpred._bin_workers(257) == min(cores, _BIN_BLOCK)
+        assert convpred._bin_workers(1) == 1
+        monkeypatch.setattr(_blas, "numpy_openblas", lambda: None)
+        assert convpred._bin_workers(257) == 1
+    finally:
+        set_threads(original)
+
+
+def test_worker_exception_surfaces_and_pool_is_released(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    refined_solve = convpred._refined_solve
+    caller = threading.get_ident()
+
+    def failing_off_caller(*args):
+        if threading.get_ident() != caller:
+            raise Boom("worker failed")
+        return refined_solve(*args)
+
+    z, d, taps, delay, lam = ranged_instance(2 * _BIN_BLOCK + 3, 0)
+    before = threading.active_count()
+    monkeypatch.setattr(convpred, "_refined_solve", failing_off_caller)
+    with pytest.raises(Boom):
+        run_on_workers(monkeypatch, 2, solve_wls, z, d, taps, delay, lam)
+    assert threading.active_count() == before
 
 
 def test_first_order_optimality():
