@@ -51,6 +51,9 @@ class Algorithm(NamedTuple):
     reads_estimate: bool   # False: the target estimates are never read
     multi_pass: bool       # passes > 1 allowed (one estimate in, one out)
     run: Callable          # (mix_tf, ests, pred) -> list of T x F outputs
+    per_source: str = None  # the single-estimate algorithm run on each ests[c]
+                            # (output c is its output on [ests[c]]); None:
+                            # one output
 
 
 # Entries call convpred through the module attribute at call time, so a
@@ -76,7 +79,7 @@ ALGORITHMS = {
         convpred.PredConfig.for_fcp, ("taps", "eps", "lambda_mode", "diag_load"),
         True, False,
         lambda y, ests, p: convpred.fcp_per_source(
-            y, ests, p.taps, p.lambda_mode, p.eps, p.diag_load)),
+            y, ests, p.taps, p.lambda_mode, p.eps, p.diag_load), "fcp"),
     "wpe_sf": Algorithm(
         convpred.PredConfig.for_wpe, _WPE, True, False,
         lambda y, ests, p: [convpred.wpe_multi(
@@ -84,7 +87,7 @@ ALGORITHMS = {
     "wpe_mf": Algorithm(
         convpred.PredConfig.for_wpe, _WPE, True, False,
         lambda y, ests, p: convpred.wpe_multi(
-            y, ests, p.taps, p.delay, p.eps, "mf", p.diag_load)[0]),
+            y, ests, p.taps, p.delay, p.eps, "mf", p.diag_load)[0], "wpe_supplied"),
 }
 _PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
 
@@ -326,18 +329,22 @@ def _enhanced(mix_tf, outputs_tf, n_samples):
                        n_samples) for out in outputs_tf]
 
 
-def _source_metrics(outputs, mixture, refs, max_lag, unprocessed):
-    """Metrics of each output c, and of the mixture, against reference
-    min(c, len(refs) - 1); ``unprocessed`` caches the mixture's by reference."""
+def _n_outputs(algo, ests):
+    return len(ests) if algo.per_source else 1
+
+
+def _source_metrics(outputs, mixture, refs, max_lag, unprocessed, sources=None):
+    """Metrics of each output, and of the mixture, against the reference of
+    its source: output i is source ``sources[i]`` (default i).
+    ``unprocessed`` caches the mixture's metrics by source."""
     per_source = []
-    for c, sig in enumerate(outputs):
-        r = min(c, len(refs) - 1)
-        if r not in unprocessed:
-            unprocessed[r] = metrics.evaluate_pair(mixture, refs[r], max_lag).to_dict()
+    for c, sig in zip(sources or range(len(outputs)), outputs):
+        if c not in unprocessed:
+            unprocessed[c] = metrics.evaluate_pair(mixture, refs[c], max_lag).to_dict()
         per_source.append({
             "source": c,
-            "unprocessed": unprocessed[r],
-            "enhanced": metrics.evaluate_pair(sig, refs[r], max_lag).to_dict(),
+            "unprocessed": unprocessed[c],
+            "enhanced": metrics.evaluate_pair(sig, refs[c], max_lag).to_dict(),
         })
     return per_source
 
@@ -379,6 +386,11 @@ def cmd_dereverb(config):
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
         ests, est_mode = _build_estimates(config, refs, cfg, mixture.size)
+    n_outputs = _n_outputs(ALGORITHMS[name], ests)
+    if refs and len(refs) < n_outputs:
+        raise ConfigError(f"algorithm {name!r} writes {n_outputs} outputs and "
+                          f"scores each against its own reference; got "
+                          f"{len(refs)} reference(s)")
 
     outputs = _enhanced(mix_tf, run_algorithm(name, pred, mix_tf, ests, passes,
                                               mixture.size), mixture.size)
@@ -474,19 +486,38 @@ def _sweep_estimates(scene, cfg, seed, est_err):
             for c, d in enumerate(scene.direct)]
 
 
-def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests,
-                       unprocessed):
+def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
+                       solved, unprocessed):
     """Run one algorithm entry on a prepared scene; returns its per-source
     metrics.
+
+    ``solved`` maps the problem key of each output that has succeeded on
+    this scene to its metrics: (family, PredConfig, passes, source, estimate
+    error). Only the outputs whose key is missing are run, and then added.
+    A per-source algorithm's output c is its family's output on [ests[c]];
+    with other passes it is rejected, so it is then its own family. The
+    estimate error is None for an algorithm that reads no estimate.
 
     ``unprocessed`` holds the mixture's metrics on this scene, shared by the
     rows. It is filled after the algorithm has run, so an algorithm error is
     raised before a metric error.
     """
+    algo = ALGORITHMS[name]
     pred, _ = _prediction(name, given)
-    outputs_tf = run_algorithm(name, pred, mix_tf, ests, int(passes), scene.n_samples)
-    return _source_metrics(_enhanced(mix_tf, outputs_tf, scene.n_samples), scene.y,
-                           scene.direct, int(sweep.get("max_lag", 512)), unprocessed)
+    passes = int(passes)
+    family = (algo.per_source if passes == 1 else None) or name
+    keys = [(family, pred, passes, c, est_err if algo.reads_estimate else None)
+            for c in range(_n_outputs(algo, ests))]
+    missing = [c for c, key in enumerate(keys) if key not in solved]
+    if missing:
+        outputs_tf = run_algorithm(
+            name, pred, mix_tf, [ests[c] for c in missing] if algo.per_source
+            else ests, passes, scene.n_samples)
+        entries = _source_metrics(
+            _enhanced(mix_tf, outputs_tf, scene.n_samples), scene.y, scene.direct,
+            int(sweep.get("max_lag", 512)), unprocessed, missing)
+        solved.update(zip([keys[c] for c in missing], entries))
+    return [solved[key] for key in keys]
 
 
 def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
@@ -500,7 +531,7 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
     except Exception as exc:  # recorded in each of its rows
         scene_error = str(exc)
     unprocessed = {}
-    estimate_free = {}  # algorithm index -> metrics of its estimate-free row
+    solved = {}
     rows = []
     for est_err in est_errs:
         ests, est_error = [], scene_error
@@ -509,19 +540,15 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
                 ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err)
             except Exception as exc:  # recorded in each row that reads them
                 est_error = str(exc)
-        for i, (name, given, passes, settings) in enumerate(algorithms):
-            reads_estimate = ALGORITHMS[name].reads_estimate
-            error = est_error if reads_estimate else scene_error
-            per_source = estimate_free.get(i)
-            if error is None and per_source is None:
+        for name, given, passes, settings in algorithms:
+            error = est_error if ALGORITHMS[name].reads_estimate else scene_error
+            if error is None:
                 try:
-                    per_source = _sweep_row_metrics(sweep, name, given, passes,
-                                                    scene, mix_tf, ests, unprocessed)
+                    per_source = _sweep_row_metrics(
+                        sweep, name, given, passes, scene, mix_tf, ests, est_err,
+                        solved, unprocessed)
                 except Exception as exc:  # recorded, sweep continues
                     error = str(exc)
-                else:
-                    if not reads_estimate:
-                        estimate_free[i] = per_source
             row = {"seed": seed, "t60": t60, "snr_db": snr_db,
                    "estimate_error_snr_db": est_err,
                    "algorithm": name, "settings": settings,
@@ -535,12 +562,15 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
 def run_experiment(sweep):
     """Run a sweep over seeds x t60 x snr x estimate degradation x algorithm.
 
-    Each scene is rendered and transformed once per (seed, t60, snr), its
-    estimates once per estimate error, and the row of an algorithm that
-    reads no estimate once per scene; every row equals the one computed on
-    its own. Failures are recorded in every row that depends on them and
-    the sweep continues; a failed row is computed again for each estimate
-    error.
+    Each scene is rendered and transformed once per (seed, t60, snr) and
+    its estimates once per estimate error. Each distinct problem is solved
+    and scored once per scene and estimate error: output c of
+    ``fcp_per_source`` is the ``fcp`` problem on estimate c, output c of
+    ``wpe_mf`` the ``wpe_supplied`` one, for equal settings, and an
+    algorithm that reads no estimate runs once per scene. Every row equals
+    the one computed on its own, whatever the order of the algorithms.
+    Failures are recorded in every row that depends on them and the sweep
+    continues; a failed row is computed again for each estimate error.
     """
     seeds = sweep.get("seeds", [])
     t60s = sweep.get("t60", [0.4])

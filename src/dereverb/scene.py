@@ -221,13 +221,6 @@ class Scene:
         """Everything else: remaining sources' images plus noise."""
         return _residual_sum(self.direct, self.wet, self.noise)
 
-    def target_components(self, source_index):
-        """(s, h, v) decomposition of y with source ``source_index`` as target."""
-        order = [source_index] + [c for c in range(self.n_sources) if c != source_index]
-        direct = tuple(self.direct[c] for c in order)
-        wet = tuple(self.wet[c] for c in order)
-        return direct[0], wet[0], _residual_sum(direct, wet, self.noise)
-
 
 def _residual_sum(direct, wet, noise):
     """Sum of non-target images plus noise, in a fixed evaluation order."""

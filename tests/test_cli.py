@@ -222,6 +222,24 @@ def test_algorithm_table_entry_contract(duo_1s, tmp_path, capsys, name):
     assert row["error"] is None and row["settings"] == applied
 
 
+@pytest.mark.parametrize("name", [n for n, a in cli.ALGORITHMS.items()
+                                  if a.per_source])
+def test_per_source_output_is_its_family_on_one_estimate(duo_1s, name):
+    """The property the sweep's memo rests on: with equal settings, output c
+    of a per-source algorithm is its family's output on estimate c alone."""
+    cfg = StftConfig.for_rate(8000)
+    y = analyze(read_wav(duo_1s / "y.wav")[0], cfg).data
+    ests = [analyze(read_wav(duo_1s / f"s{c}.wav")[0], cfg).data for c in (0, 1)]
+    algo = cli.ALGORITHMS[name]
+    family = cli.ALGORITHMS[algo.per_source]
+    pred = family.defaults()
+    assert algo.defaults() == pred
+    outputs = algo.run(y, ests, pred)
+    assert len(outputs) == len(ests)
+    for c, est in enumerate(ests):
+        np.testing.assert_array_equal(outputs[c], family.run(y, [est], pred)[0])
+
+
 def _nan_copy(src, dst):
     samples, fs = read_wav(src)
     samples = samples.astype(np.float32)
@@ -389,6 +407,37 @@ def test_dereverb_multi_output_files(scene_dir, tmp_path):
     assert len(report["metrics"]) == 2
 
 
+def _duo_external(duo_1s, tmp_path, refs):
+    return ["dereverb", "--mixture", str(duo_1s / "y.wav"),
+            "--algorithm", "fcp_per_source", "--estimate-mode", "external",
+            "--estimate", str(duo_1s / "s0.wav"), "--estimate", str(duo_1s / "s1.wav"),
+            *[a for r in refs for a in ("--reference", str(duo_1s / r))],
+            "--output", str(tmp_path / "o.wav"), "--report", str(tmp_path / "r.json")]
+
+
+def test_dereverb_fewer_references_than_outputs_is_config_error(
+        duo_1s, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(convpred, "fcp_per_source", None)  # must never run
+    assert main(_duo_external(duo_1s, tmp_path, ["s0.wav"])) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "2 outputs" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dereverb_scores_each_output_against_its_own_reference(duo_1s, tmp_path):
+    assert main(_duo_external(duo_1s, tmp_path, ["s0.wav", "s1.wav"])) == EXIT_OK
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [m["source"] for m in report["metrics"]] == [0, 1]
+    mixture = read_wav(duo_1s / "y.wav")[0]
+    for c, (m, out) in enumerate(zip(report["metrics"], report["outputs"])):
+        ref = read_wav(duo_1s / f"s{c}.wav")[0]
+        assert m["unprocessed"] == cli.metrics.evaluate_pair(
+            mixture, ref, 512).to_dict()
+        # the WAV holds float32 samples
+        assert m["enhanced"]["si_sdr_db"] == pytest.approx(
+            si_sdr(read_wav(out)[0], ref), abs=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -511,12 +560,75 @@ def test_sweep_computes_each_input_once(monkeypatch):
     spy(cli, "_build_scene")
     spy(cli, "analyze")
     spy(convpred, "wpe_vanilla")
+    spy(convpred, "solve_wls")
     rows = run_experiment(two_source_sweep())["rows"]
     assert len(rows) == 2 * 2 * len(cli.ALGORITHMS)
     assert all(r["error"] is None for r in rows)
-    # per scene: one mixture, and one estimate per (estimate error, source)
+    # per scene: one mixture, and one estimate per (estimate error, source);
+    # solves per scene: 3 for wpe_vanilla, and per estimate error 1 each for
+    # wpe_supplied, icp, fcp and wpe_sf, plus source 1 of fcp_per_source and
+    # of wpe_mf (their source 0 is the fcp and wpe_supplied problem)
     assert calls == {"_build_scene": 2, "analyze": 2 * (1 + 2 * 2),
-                     "wpe_vanilla": 2}
+                     "wpe_vanilla": 2, "solve_wls": 2 * (3 + 2 * 6)}
+
+
+def _count_solves(monkeypatch):
+    solves = []
+    solve_wls = convpred.solve_wls
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_wls(*args, **kwargs)
+    monkeypatch.setattr(convpred, "solve_wls", counted)
+    return solves
+
+
+def test_sweep_rows_do_not_depend_on_algorithm_order(monkeypatch):
+    solves = _count_solves(monkeypatch)
+
+    def by_row(sweep):
+        n = len(solves)
+        rows = run_experiment(sweep)["rows"]
+        return {(r["seed"], r["t60"], r["estimate_error_snr_db"], r["algorithm"]): r
+                for r in rows}, len(solves) - n
+
+    forward, forward_solves = by_row(two_source_sweep())
+    backward, backward_solves = by_row(two_source_sweep(
+        algorithms=list(reversed(cli.ALGORITHMS))))
+    assert forward == backward and len(forward) == 2 * 2 * len(cli.ALGORITHMS)
+    assert forward_solves == backward_solves == 30
+
+
+def test_sweep_shares_only_equal_problems(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    sweep = two_source_sweep(t60=[0.3], estimate_error_snr_db=[None], algorithms=[
+        "fcp", {"name": "fcp_per_source", "lambda_mode": "est_power"},
+        {"name": "fcp_per_source", "lambda_mode": "unit"},
+        {"name": "fcp", "passes": 2}, {"name": "fcp", "taps": 20}, "fcp"])
+    rows = run_experiment(sweep)["rows"]
+    # 1 + 2 + 2 + 2 (two passes) + 1; the second plain fcp solves nothing
+    assert len(solves) == 8
+    assert all(r["error"] is None for r in rows)
+    for entry, row in zip(sweep["algorithms"], rows):
+        alone, = run_experiment({**sweep, "algorithms": [entry]})["rows"]
+        assert alone == row
+    assert rows[0]["metrics"][0] not in (rows[1]["metrics"][0],
+                                         rows[2]["metrics"][0],
+                                         rows[3]["metrics"][0],
+                                         rows[4]["metrics"][0])
+
+
+@pytest.mark.parametrize("single, multi", [("fcp", "fcp_per_source"),
+                                           ("wpe_supplied", "wpe_mf")])
+def test_sweep_per_source_row_with_passes_fails_after_its_family_ran(single, multi):
+    """On a one-source scene, a successful two-pass single-estimate row
+    leaves the per-source entry with two passes failing as it does alone."""
+    sweep = small_sweep(seeds=[0], algorithms=[
+        {"name": single, "passes": 2}, {"name": multi, "passes": 2}])
+    rows = run_experiment(sweep)["rows"]
+    assert rows[0]["error"] is None
+    assert rows[1]["error"] == (f"passes > 1 applies to single-estimate "
+                                f"algorithms, not {multi!r}")
 
 
 def test_sweep_rows_equal_rows_computed_alone():
