@@ -5,7 +5,13 @@ scene simulator with ground truth, closed-form weighted-least-squares
 prediction algorithms (WPE, supplied-statistics WPE, ICP, FCP and their
 multi-source variants), and evaluation metrics (SI-SDR, 512-tap SDR,
 GCC-PHAT delay).
+
+Fallback paths log a WARNING through the ``dereverb`` logger, which has a
+``NullHandler``: nothing is printed unless the application configures
+logging.
 """
+
+import logging
 
 from .convpred import (FilterBank, PredConfig, apply_filter, build_stack, fcp,
                        fcp_per_source, icp, iterate, lambda_weights, solve_wls,
@@ -19,6 +25,8 @@ from .stft import ComplexSpectrogram, StftConfig, analyze, sqrt_hann, synthesize
 from .wavio import read_wav, write_wav
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ComplexSpectrogram", "FilterBank", "MetricsReport", "PredConfig", "Rir",

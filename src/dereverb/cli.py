@@ -349,6 +349,24 @@ def _source_metrics(outputs, mixture, refs, max_lag, unprocessed, sources=None):
     return per_source
 
 
+def _max_lag(value, n_samples):
+    """The metrics' GCC-PHAT lag range (default 512), checked against the
+    length of the signals: n_samples >= SDR_TAPS and
+    1 <= max_lag <= n_samples // 2."""
+    if n_samples < metrics.SDR_TAPS:
+        raise ConfigError(f"the metrics need signals of at least "
+                          f"{metrics.SDR_TAPS} samples; got {n_samples}")
+    try:
+        max_lag = int(512 if value is None else value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"max_lag: {exc}") from exc
+    if not 1 <= max_lag <= n_samples // 2:
+        raise ConfigError(f"max_lag must be in [1, {n_samples // 2}] for "
+                          f"{n_samples}-sample signals; got {max_lag}"
+                          + (" (the default)" if value is None else ""))
+    return max_lag
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -367,9 +385,14 @@ def cmd_dereverb(config):
     passes = int(config.get("passes", 1))
     if passes < 1:
         raise ConfigError("passes must be >= 1")
+    if config.get("max_lag") is not None and not config.get("reference"):
+        raise ConfigError("max_lag sets the lag range of the metrics, which "
+                          "need --reference signals")
 
     mixture, fs = _load_signals([mixture_path], what="mixture")
     mixture = mixture[0]
+    max_lag = (_max_lag(config.get("max_lag"), mixture.size)
+               if config.get("reference") else None)
     try:
         cfg = StftConfig.for_rate(fs)
     except ValueError as exc:
@@ -404,7 +427,6 @@ def cmd_dereverb(config):
             write_wav(p, sig, fs, config.get("encoding", "float32"))
             written.append(str(p))
 
-    max_lag = int(config.get("max_lag", 512))
     report = {
         "schema_version": SCHEMA_VERSION,
         "algorithm": name,

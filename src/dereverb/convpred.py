@@ -21,6 +21,7 @@ Conventions:
     coefficients c with prediction = sum_k c[k] * z(t - delay - k).
 """
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ import numpy as np
 
 from . import _blas
 from .stft import ComplexSpectrogram
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,8 @@ def _refined_solve(gram, rhs):
 
 def _solve_range(z, d, taps, delay, w, diag_load, block):
     """solve_wls's filters for validated inputs, GEMM blocks of ``block``
-    bins; returns an (F, K) array."""
+    bins; returns an (F, K) array and the number of bins that fell back to
+    lstsq."""
     n_bins = z.shape[1]
     full = _weighted_gram(z, d, taps, delay, w, block)
     gram = full[:, :taps, :taps]                    # (F, K, K)
@@ -287,6 +291,7 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
     trace = np.einsum("fkk->f", gram).real
     live = trace > 0
     filters = np.zeros((n_bins, taps), dtype=np.complex128)
+    n_singular = 0
     if np.any(live):
         g_live = gram[live]
         b_live = rhs[live]
@@ -302,8 +307,9 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
             sol[~singular] = _refined_solve(g_live[~singular], b_live[~singular])
             for i in np.flatnonzero(singular):
                 sol[i] = np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
+            n_singular = int(np.count_nonzero(singular))
         filters[live] = sol[:, :, 0]
-    return filters
+    return filters, n_singular
 
 
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
@@ -316,7 +322,8 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     diag_load * trace(R) / K per bin, plus two rounds of iterative
     refinement. Bins whose stack carries no energy get a zero filter; bins
     whose loaded Gram matrix is exactly singular get the minimum-norm
-    least-squares solution while the others are still solved batched.
+    least-squares solution while the others are still solved batched; one
+    WARNING record gives their count.
 
     The Gram matrix R and right-hand side r come from one GEMM per block
     of bins over the augmented stack [A | d] / sqrt(weights), whose
@@ -355,7 +362,11 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
 
     parts = _over_bins(z.shape[1], lambda lo, hi, block: _solve_range(
         z[:, lo:hi], d[:, lo:hi], taps, delay, w[:, lo:hi], diag_load, block))
-    return FilterBank(np.concatenate(parts), delay)
+    n_singular = sum(n for _, n in parts)
+    if n_singular:
+        _log.warning("solve_wls: %d of %d bins have an exactly singular Gram "
+                     "matrix; solved by lstsq", n_singular, z.shape[1])
+    return FilterBank(np.concatenate([filters for filters, _ in parts]), delay)
 
 
 def _floored_power(power, eps):

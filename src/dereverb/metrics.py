@@ -2,16 +2,26 @@
 
 All functions are pure and operate on 1-D time-domain arrays. dB values are
 capped at +/-300 (the infinity sentinel) so reports stay serializable.
+
+The correlations behind the 512-tap SDR and GCC-PHAT come from one spectrum
+pair of length ``est.size + ref.size``: the reference spectrum R and the
+cross spectrum E conj(R). That length is at least 2N - 1, so the circular
+correlations they give are the linear ones. ``evaluate_pair`` builds the
+pair once and scores all three metrics from it: 2 forward and 3 inverse
+FFTs.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_toeplitz, toeplitz
-from scipy.signal import fftconvolve
 
 DB_CAP = 300.0
 SDR_TAPS = 512
+_SDR_LOAD = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 def _to_db(signal_energy, error_energy):
@@ -53,31 +63,32 @@ def si_sdr(est, ref):
     return _to_db(alpha * alpha * ref_energy, float(np.dot(err, err)))
 
 
-def sdr_512(est, ref, n_taps=SDR_TAPS, load=1e-12):
-    """SNR after least-squares projection onto ``n_taps`` shifts of the ref.
+def _spectra(est, ref):
+    """(n, R, X) of a validated pair: n = est.size + ref.size, R the
+    reference spectrum and X = E conj(R) the cross spectrum, both zero-padded
+    to n. irfft(|R|^2)[k] and irfft(X)[k] are the linear correlations
+    sum_t ref(t) ref(t - k) and sum_t est(t) ref(t - k) for 0 <= k < N."""
+    n = est.size + ref.size
+    spec_ref = np.fft.rfft(ref, n=n)
+    return n, spec_ref, np.fft.rfft(est, n=n) * np.conj(spec_ref)
 
-    The projection coefficients solve the Toeplitz normal equations built
-    from the reference autocorrelation (with ``load`` relative diagonal
-    loading), using the zero-padded (full correlation) convention. This is
-    the projection core of the classic 512-tap SDR, without the
-    artifact/interference split. The 1-tap projection is a subspace of this
-    one, so sdr_512 >= si_sdr on any pair. Residuals at numerical-noise
-    level (below 1e-12 of the estimate energy) count as zero and hit the
-    +300 sentinel.
-    """
-    est, ref = _check_pair(est, ref, min_len=n_taps)
-    autoc = fftconvolve(ref, ref[::-1])
-    r = autoc[ref.size - 1:ref.size - 1 + n_taps]
+
+def _sdr_from_spectra(est, n, spec_ref, cross, n_taps, load):
+    """sdr_512 of a pair validated for ``n_taps``, from ``_spectra``."""
+    power = np.conj(spec_ref)
+    power *= spec_ref                 # |R|^2; the imaginary parts are exactly 0
+    r = np.fft.irfft(power, n=n)[:n_taps]
     if r[0] <= 0.0:
         raise ValueError("reference is all zero")
-    cross = fftconvolve(est, ref[::-1])
-    b = cross[ref.size - 1:ref.size - 1 + n_taps]
+    b = np.fft.irfft(cross, n=n)[:n_taps]
 
     col = r.copy()
     col[0] += load * r[0]
     try:
         coef = solve_toeplitz(col, b)
     except np.linalg.LinAlgError:
+        _log.warning("sdr_512: Toeplitz solve failed; falling back to lstsq "
+                     "on the %d-tap normal equations", n_taps)
         gram = toeplitz(col)
         coef = np.linalg.lstsq(gram, b, rcond=None)[0]
 
@@ -90,6 +101,42 @@ def sdr_512(est, ref, n_taps=SDR_TAPS, load=1e-12):
     return _to_db(proj_energy, resid_energy)
 
 
+def sdr_512(est, ref, n_taps=SDR_TAPS, load=_SDR_LOAD):
+    """SNR after least-squares projection onto ``n_taps`` shifts of the ref.
+
+    The projection coefficients solve the Toeplitz normal equations built
+    from the reference autocorrelation (with ``load`` relative diagonal
+    loading), using the zero-padded (full correlation) convention. This is
+    the projection core of the classic 512-tap SDR, without the
+    artifact/interference split. The 1-tap projection is a subspace of this
+    one, so sdr_512 >= si_sdr on any pair. Residuals at numerical-noise
+    level (below 1e-12 of the estimate energy) count as zero and hit the
+    +300 sentinel. If the Toeplitz solve fails, the normal equations are
+    solved by ``lstsq`` and a warning is logged.
+    """
+    est, ref = _check_pair(est, ref, min_len=n_taps)
+    return _sdr_from_spectra(est, *_spectra(est, ref), n_taps, load)
+
+
+def _check_gcc(est, ref, max_lag):
+    if max_lag < 1:
+        raise ValueError("max_lag must be >= 1")
+    est, ref = _check_pair(est, ref, min_len=2 * max_lag)
+    if not np.any(est) or not np.any(ref):
+        raise ValueError("degenerate (all-zero) input")
+    return est, ref
+
+
+def _gcc_from_cross(cross, n, max_lag):
+    """gcc_phat_delay of a pair validated for ``max_lag``, from its cross
+    spectrum."""
+    mag = np.abs(cross)
+    phat = np.divide(cross, mag, out=np.zeros_like(cross), where=mag > 1e-12)
+    cc = np.fft.irfft(phat, n=n)
+    cc = np.concatenate([cc[-max_lag:], cc[:max_lag + 1]])
+    return int(np.argmax(cc)) - max_lag
+
+
 def gcc_phat_delay(est, ref, max_lag):
     """Integer delay of ``est`` relative to ``ref`` by phase-transform GCC.
 
@@ -98,18 +145,9 @@ def gcc_phat_delay(est, ref, max_lag):
     magnitude below 1e-12 contribute zero. A positive result means ``est``
     lags ``ref``.
     """
-    if max_lag < 1:
-        raise ValueError("max_lag must be >= 1")
-    est, ref = _check_pair(est, ref, min_len=2 * max_lag)
-    if not np.any(est) or not np.any(ref):
-        raise ValueError("degenerate (all-zero) input")
-    n = est.size + ref.size
-    cross = np.fft.rfft(est, n=n) * np.conj(np.fft.rfft(ref, n=n))
-    mag = np.abs(cross)
-    phat = np.where(mag > 1e-12, cross / np.where(mag > 0, mag, 1.0), 0.0)
-    cc = np.fft.irfft(phat, n=n)
-    cc = np.concatenate([cc[-max_lag:], cc[:max_lag + 1]])
-    return int(np.argmax(cc)) - max_lag
+    est, ref = _check_gcc(est, ref, max_lag)
+    n, _, cross = _spectra(est, ref)
+    return _gcc_from_cross(cross, n, max_lag)
 
 
 @dataclass(frozen=True)
@@ -133,9 +171,15 @@ class MetricsReport:
 
 
 def evaluate_pair(est, ref, max_lag=512):
-    """All metrics for one estimate against one reference."""
-    return MetricsReport(
-        si_sdr=si_sdr(est, ref),
-        sdr_512=sdr_512(est, ref),
-        gcc_phat_delay=gcc_phat_delay(est, ref, max_lag),
-    )
+    """All metrics for one estimate against one reference.
+
+    Equal to calling si_sdr, sdr_512 and gcc_phat_delay in turn, with the
+    same errors in the same order, but the pair is transformed once.
+    """
+    si = si_sdr(est, ref)
+    est, ref = _check_pair(est, ref, min_len=SDR_TAPS)
+    n, spec_ref, cross = _spectra(est, ref)
+    sdr = _sdr_from_spectra(est, n, spec_ref, cross, SDR_TAPS, _SDR_LOAD)
+    _check_gcc(est, ref, max_lag)
+    return MetricsReport(si_sdr=si, sdr_512=sdr,
+                         gcc_phat_delay=_gcc_from_cross(cross, n, max_lag))

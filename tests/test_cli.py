@@ -424,6 +424,61 @@ def test_dereverb_fewer_references_than_outputs_is_config_error(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("max_lag", ["0", "8001", "40000"])
+def test_dereverb_max_lag_out_of_range_is_config_error_before_work(
+        scene_dir, tmp_path, monkeypatch, capsys, max_lag):
+    monkeypatch.setattr(convpred, "fcp", None)  # must never run
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--reference", str(scene_dir / "s.wav"), "--max-lag", max_lag,
+               "--output", str(out / "e.wav"), "--report", str(out / "r.json")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "[1, 8000]" in err  # 16000 samples
+    assert not list(out.iterdir())
+
+
+def test_dereverb_too_short_to_score_is_config_error_before_work(
+        scene_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(convpred, "fcp", None)  # must never run
+    for name in ("y", "s"):
+        sig, fs = read_wav(scene_dir / f"{name}.wav")
+        write_wav(tmp_path / f"{name}.wav", sig[:400], fs)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["dereverb", "--mixture", str(tmp_path / "y.wav"),
+               "--reference", str(tmp_path / "s.wav"), "--max-lag", "100",
+               "--output", str(out / "e.wav")])
+    assert rc == EXIT_CONFIG
+    assert "at least 512 samples" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_dereverb_max_lag_at_half_the_length_is_applied(scene_dir, tmp_path):
+    report = cmd_dereverb({"mixture": str(scene_dir / "y.wav"),
+                           "reference": str(scene_dir / "s.wav"),
+                           "algorithm": "wpe_vanilla", "max_lag": 8000})
+    mixture, s = read_wav(scene_dir / "y.wav")[0], read_wav(scene_dir / "s.wav")[0]
+    assert report["metrics"][0]["unprocessed"] == cli.metrics.evaluate_pair(
+        mixture, s, 8000).to_dict()
+
+
+@pytest.mark.parametrize("max_lag", ["0", "64"])
+def test_dereverb_max_lag_without_reference_is_config_error(
+        scene_dir, tmp_path, monkeypatch, capsys, max_lag):
+    monkeypatch.setattr(convpred, "wpe_vanilla", None)  # must never run
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--algorithm", "wpe_vanilla", "--max-lag", max_lag,
+               "--output", str(out / "e.wav"), "--report", str(out / "r.json")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "max_lag" in err
+    assert not list(out.iterdir())
+
+
 def test_dereverb_scores_each_output_against_its_own_reference(duo_1s, tmp_path):
     assert main(_duo_external(duo_1s, tmp_path, ["s0.wav", "s1.wav"])) == EXIT_OK
     report = json.loads((tmp_path / "r.json").read_text())

@@ -1,3 +1,4 @@
+import logging
 import os
 import threading
 
@@ -145,10 +146,11 @@ def test_solver_matches_bruteforce_oracle(case):
     assert np.all(bank.filters[np.all(z == 0, axis=0)] == 0)
 
 
-def test_singular_bin_falls_back_alone(monkeypatch):
+def test_singular_bin_falls_back_alone(monkeypatch, caplog):
     """An exactly singular Gram matrix (no loading, only the last frame
     nonzero, so the delayed tap never sees it) sends that bin alone to
-    lstsq; the healthy bins keep the batched solve."""
+    lstsq, with one WARNING record; the healthy bins keep the batched
+    solve."""
     rng = np.random.default_rng(4)
     frames, taps = 32, 2
     z = rng.standard_normal((frames, 3)) + 1j * rng.standard_normal((frames, 3))
@@ -164,12 +166,18 @@ def test_singular_bin_falls_back_alone(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
+    with caplog.at_level(logging.WARNING, logger="dereverb"):
+        bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
     assert lstsq_calls == [(taps, taps)]
+    records = [r for r in caplog.records if r.name == "dereverb.convpred"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert "1 of 3 bins" in records[0].getMessage()
+    caplog.clear()
 
     healthy = [0, 2]
     alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
                       diag_load=0.0)
+    assert not caplog.records
     err = (np.linalg.norm(bank.filters[healthy] - alone.filters)
            / np.linalg.norm(alone.filters))
     assert err < 1e-12

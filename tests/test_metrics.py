@@ -1,7 +1,21 @@
+import logging
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
-from dereverb import MetricsReport, evaluate_pair, gcc_phat_delay, sdr_512, si_sdr
+import dereverb
+from dereverb import (MetricsReport, RirSpec, StftConfig, analyze, degrade,
+                     evaluate_pair, fcp, gcc_phat_delay, gen_rir, metrics,
+                     render_scene, sdr_512, si_sdr, synth_speech, synthesize)
 from dereverb.metrics import DB_CAP
 
 
@@ -112,3 +126,215 @@ def test_report_serializable(ref):
     assert all(np.isfinite(v) for v in d.values())
     nested = MetricsReport(1.0, 2.0, 0, per_source=(report,))
     assert nested.to_dict()["per_source"][0] == d
+
+
+# ---------------------------------------------------------------------------
+# oracles: the metric bodies as they were before the shared spectra, and a
+# brute-force projection
+
+def _two_fftconvolve_sdr_512(est, ref, n_taps=512, load=1e-12):
+    autoc = fftconvolve(ref, ref[::-1])
+    r = autoc[ref.size - 1:ref.size - 1 + n_taps]
+    cross = fftconvolve(est, ref[::-1])
+    b = cross[ref.size - 1:ref.size - 1 + n_taps]
+    col = r.copy()
+    col[0] += load * r[0]
+    coef = scipy.linalg.solve_toeplitz(col, b)
+    proj_energy = float(coef @ (scipy.linalg.toeplitz(r) @ coef))
+    est_energy = float(np.dot(est, est))
+    resid_energy = max(est_energy - 2.0 * float(coef @ b) + proj_energy, 0.0)
+    if resid_energy <= 1e-12 * est_energy:
+        resid_energy = 0.0
+    return metrics._to_db(proj_energy, resid_energy)
+
+
+def _nested_where_gcc(est, ref, max_lag):
+    n = est.size + ref.size
+    cross = np.fft.rfft(est, n=n) * np.conj(np.fft.rfft(ref, n=n))
+    mag = np.abs(cross)
+    phat = np.where(mag > 1e-12, cross / np.where(mag > 0, mag, 1.0), 0.0)
+    cc = np.fft.irfft(phat, n=n)
+    cc = np.concatenate([cc[-max_lag:], cc[:max_lag + 1]])
+    return int(np.argmax(cc)) - max_lag
+
+
+def _brute_force_sdr_512(est, ref, n_taps=512, load=1e-12):
+    """The zero-padded projection built sample by sample: est, padded with
+    n_taps - 1 zeros, against the full convolution of ref with the taps."""
+    n = ref.size
+    r = np.correlate(ref, ref, "full")[n - 1:n - 1 + n_taps]
+    b = np.correlate(est, ref, "full")[n - 1:n - 1 + n_taps]
+    gram = scipy.linalg.toeplitz(r)
+    gram[np.diag_indices(n_taps)] += load * r[0]
+    proj = np.convolve(ref, scipy.linalg.solve(gram, b, assume_a="pos"))
+    resid = np.concatenate([est, np.zeros(n_taps - 1)]) - proj
+    return 10.0 * np.log10(np.dot(proj, proj) / np.dot(resid, resid))
+
+
+# ---------------------------------------------------------------------------
+# properties on random pairs, N in [512, 4096] with odd and prime lengths
+
+@st.composite
+def pairs(draw):
+    n = draw(st.one_of(st.integers(512, 4096),
+                       st.sampled_from([512, 521, 1021, 2039, 4093, 4095])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ref = rng.standard_normal(n)
+    noise = rng.standard_normal(n)
+    if draw(st.booleans()):  # a filtered, delayed reference plus noise
+        fir = rng.standard_normal(draw(st.integers(1, 64)))
+        est = np.convolve(ref, fir)[:n] + draw(st.floats(0.01, 10.0)) * noise
+    else:  # independent of the reference
+        est = noise
+    return est, ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs())
+def test_property_sdr_512_dominates_si_sdr(pair):
+    assert sdr_512(*pair) >= si_sdr(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs())
+def test_property_sdr_512_matches_brute_force(pair):
+    assert abs(sdr_512(*pair) - _brute_force_sdr_512(*pair)) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(), st.integers(1, 256))
+def test_property_evaluate_pair_equals_separate_calls(pair, max_lag):
+    report = evaluate_pair(*pair, max_lag)
+    assert report.si_sdr == si_sdr(*pair)
+    assert report.sdr_512 == sdr_512(*pair)
+    assert report.gcc_phat_delay == gcc_phat_delay(*pair, max_lag)
+
+
+# ---------------------------------------------------------------------------
+# regression against the previous metric bodies on simulated scenes
+
+@pytest.fixture(scope="module")
+def scored_pairs(reverb_scene, noisy_scene, two_speaker_scene):
+    """(estimate, reference) pairs: the FCP output, the mixture and a 10 dB
+    degraded estimate of each scene, at 8 kHz and at 16 kHz."""
+    fs = 16000
+    scene_16k = render_scene([synth_speech(fs, fs, seed=41)],
+                             [gen_rir(RirSpec(fs, t60=0.6, direct_delay=48,
+                                              seed=42))], normalize=True)
+    out = []
+    for seed, scene in enumerate([reverb_scene, noisy_scene, two_speaker_scene,
+                                  scene_16k]):
+        cfg = StftConfig.for_rate(scene.sample_rate)
+        mix = analyze(scene.y, cfg)
+        shat = fcp(mix.data, analyze(scene.s, cfg).data)[0]
+        out += [(synthesize(mix.with_data(shat), scene.n_samples), scene.s),
+                (scene.y, scene.s),
+                (degrade(scene.s, 10.0, seed), scene.s)]
+    return out
+
+
+def test_sdr_512_agrees_with_two_fftconvolve_body(scored_pairs):
+    for est, ref in scored_pairs:
+        assert abs(sdr_512(est, ref) - _two_fftconvolve_sdr_512(est, ref)) < 1e-9
+
+
+def test_gcc_phat_equals_nested_where_body(scored_pairs):
+    for est, ref in scored_pairs:
+        for max_lag in (1, 64, 512):
+            assert gcc_phat_delay(est, ref, max_lag) == _nested_where_gcc(
+                est, ref, max_lag)
+
+
+def _first_error(est, ref, max_lag):
+    """Message of the first ValueError of si_sdr, sdr_512, gcc_phat_delay
+    called in turn."""
+    for call in (lambda: si_sdr(est, ref), lambda: sdr_512(est, ref),
+                 lambda: gcc_phat_delay(est, ref, max_lag)):
+        try:
+            call()
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", [
+    "zero reference", "300 samples", "zero estimate", "max_lag 0",
+    "max_lag > N/2", "zero estimate, max_lag 0", "300 samples, max_lag 0",
+    "zero reference, max_lag 0"])
+def test_evaluate_pair_raises_as_the_separate_calls(ref, case):
+    est, sig, max_lag = ref + 1.0, ref.copy(), 512
+    if "zero reference" in case:
+        sig[:] = 0.0
+    if "300 samples" in case:
+        est, sig = est[:300], sig[:300]
+    if "zero estimate" in case:
+        est = np.zeros_like(sig)
+    if "max_lag 0" in case:
+        max_lag = 0
+    if "max_lag > N/2" in case:
+        max_lag = sig.size // 2 + 1
+    message = _first_error(est, sig, max_lag)
+    assert message is not None
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evaluate_pair(est, sig, max_lag)
+
+
+def test_evaluate_pair_runs_two_forward_and_three_inverse_ffts(ref, monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        fft = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _fft=fft, **kwargs):
+            counts[_name] += 1
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    evaluate_pair(ref + 0.1 * np.roll(ref, 3), ref)
+    assert counts == {"rfft": 2, "irfft": 3}
+
+
+# ---------------------------------------------------------------------------
+# fallbacks leave a record
+
+def _failing_solve_toeplitz(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced")
+
+
+def test_sdr_512_lstsq_fallback_logs_one_warning(ref, monkeypatch, caplog):
+    est = ref + 0.5 * np.roll(ref, 5)
+    expected = sdr_512(est, ref)
+    monkeypatch.setattr(metrics, "solve_toeplitz", _failing_solve_toeplitz)
+    with caplog.at_level(logging.WARNING, logger="dereverb"):
+        value = sdr_512(est, ref)
+    records = [r for r in caplog.records if r.name == "dereverb.metrics"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert "lstsq" in records[0].getMessage()
+    assert value == pytest.approx(expected, abs=1e-6)
+
+
+def test_fallback_warnings_print_nothing_without_logging_configured():
+    """The package logger's NullHandler keeps logging's last-resort handler
+    from printing the fallback warnings to stderr."""
+    script = """
+import numpy as np
+from dereverb import metrics, solve_wls
+
+def fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced")
+
+metrics.solve_toeplitz = fail
+ref = np.random.default_rng(0).standard_normal(1024)
+metrics.sdr_512(ref + 0.1, ref)
+z = np.ones((8, 2), complex)
+z[:, 1] = 0.0
+z[-1, 1] = 1.0
+solve_wls(z, z, 2, 0, np.ones((8, 2)), diag_load=0.0)
+print("ran")
+"""
+    src = Path(dereverb.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ran\n"
+    assert done.stderr == ""
