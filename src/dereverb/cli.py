@@ -139,18 +139,47 @@ def load_config(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
+# The settings that take true/false; a bool given for any other is an error.
+_FLAGS = ("early_only", "normalize")
+# Numeric settings and their types, checked before any typed read.
+_NUMBERS = {"sample_rate": int, "duration_s": float, "seed": int, "t60": float,
+            "snr_db": float, "n_sources": int, "estimate_error_snr_db": float,
+            "max_lag": int, "passes": int, "taps": int, "delay": int,
+            "eps": float, "diag_load": float, "iters": int}
+
+
 def _merge_config(args, keys):
-    """defaults < --config file < explicit flags."""
+    """defaults < --config file < explicit flags.
+
+    A file key outside ``keys`` is an error and a ``null`` value means the
+    default. A bool outside ``_FLAGS`` and a numeric setting that is not a
+    finite number are errors naming the setting.
+    """
     config = {}
     if getattr(args, "config", None):
         file_cfg = load_config(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: top-level JSON object expected")
-        config.update(file_cfg)
+        unknown = [k for k in file_cfg if k not in keys]
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown setting(s) "
+                              f"{', '.join(map(repr, unknown))}; this command "
+                              f"takes {', '.join(keys)}")
+        config.update((k, v) for k, v in file_cfg.items() if v is not None)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
+    for key, val in config.items():
+        if isinstance(val, bool) and key not in _FLAGS:
+            raise ConfigError(f"{key} must not be true/false; got {val!r}")
+        if key in _NUMBERS:
+            try:
+                finite = math.isfinite(_NUMBERS[key](val))
+            except (TypeError, ValueError, OverflowError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"{key} must be a finite number; got {val!r}")
     return config
 
 
@@ -744,7 +773,7 @@ def build_parser():
 
 _COMMAND_KEYS = {
     "simulate": ("out_dir", "sample_rate", "duration_s", "seed", "t60",
-                 "snr_db", "n_sources", "early_only", "encoding"),
+                 "snr_db", "n_sources", "early_only", "normalize", "encoding"),
     "dereverb": ("mixture", "reference", "estimate", "estimate_mode",
                  "estimate_error_snr_db", "seed", "output", "report",
                  "encoding", "max_lag", "algorithm", "taps", "delay", "eps",

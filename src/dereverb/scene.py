@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .stft import ComplexSpectrogram, analyze
 
@@ -267,6 +266,8 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
     if len(rates) != 1 or rates == {0}:
         raise ValueError("all RIRs must carry one common sample_rate")
     fs = rates.pop()
+    # imported on first use: scipy.signal costs ~1 s to import and only scenes need it
+    from scipy.signal import fftconvolve
 
     direct = []
     wet = []
@@ -394,6 +395,9 @@ def synth_speech(n_samples, sample_rate, seed):
     on/off envelope leaves low-energy gaps, so the T-F weighting in the
     predictors has something to do. Unit sample variance, zero mean.
     """
+    # imported on first use: scipy.signal costs ~1 s to import and only scenes need it
+    from scipy.signal import fftconvolve, lfilter
+
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
 

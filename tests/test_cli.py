@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -513,6 +515,111 @@ def test_cli_main_evaluate_exit_ok(scene_dir, capsys):
     assert rc == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert "si_sdr_db" in out
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+def _run_with_config(command, settings, scene_dir, tmp_path, capsys, flags=()):
+    """main(command --config file) on a small valid config of the command,
+    updated with ``settings``; returns (exit code, stdout, stderr)."""
+    base = {
+        "simulate": {"out_dir": str(tmp_path / "sim"), "sample_rate": 8000,
+                     "duration_s": 1.0, "t60": 0.3},
+        "dereverb": {"mixture": str(scene_dir / "y.wav"),
+                     "reference": str(scene_dir / "s.wav")},
+        "evaluate": {"estimate": str(scene_dir / "y.wav"),
+                     "reference": str(scene_dir / "s.wav")},
+    }[command]
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps({**base, **settings}))
+    capsys.readouterr()
+    rc = main([command, "--config", str(path), *flags])
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.mark.parametrize("command, key", [("evaluate", "max_lag"),
+                                          ("dereverb", "passes"),
+                                          ("simulate", "seed")])
+def test_config_null_means_the_default(scene_dir, tmp_path, capsys, command, key):
+    rc_null, out_null, _ = _run_with_config(command, {key: None}, scene_dir,
+                                            tmp_path, capsys)
+    rc, out, _ = _run_with_config(command, {}, scene_dir, tmp_path, capsys)
+    assert rc_null == rc == EXIT_OK
+    assert out_null == out
+
+
+@pytest.mark.parametrize("command, settings, flags, named", [
+    ("dereverb", {"taps": True}, (), "taps"),
+    ("dereverb", {"passes": True}, (), "passes"),
+    ("evaluate", {"max_lag": True}, (), "max_lag"),
+    ("simulate", {"seed": True}, (), "seed"),
+    ("simulate", {}, ("--snr-db", "nan"), "snr_db"),
+    ("simulate", {}, ("--t60", "nan"), "t60"),
+    ("simulate", {}, ("--duration-s", "nan"), "duration_s"),
+    ("simulate", {"t60": "inf"}, (), "t60"),
+    ("simulate", {"seed": [1]}, (), "seed"),
+    ("dereverb", {}, ("--estimate-mode", "degraded",
+                      "--estimate-error-snr-db", "inf"), "estimate_error_snr_db"),
+    ("dereverb", {}, ("--eps", "nan"), "eps"),
+    ("dereverb", {}, ("--diag-load=-inf",), "diag_load"),
+])
+def test_config_bool_or_non_finite_setting_is_config_error(
+        scene_dir, tmp_path, capsys, command, settings, flags, named):
+    rc, out, err = _run_with_config(command, settings, scene_dir, tmp_path,
+                                    capsys, flags)
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: {named} ")
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "dereverb", "evaluate"])
+def test_config_unknown_key_is_config_error(scene_dir, tmp_path, capsys, command):
+    rc, out, err = _run_with_config(command, {"tapz": 3}, scene_dir, tmp_path,
+                                    capsys)
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith("config error:") and "'tapz'" in err
+
+
+def test_simulate_config_takes_normalize(scene_dir, tmp_path, capsys):
+    rc, out, _ = _run_with_config("simulate", {"normalize": False}, scene_dir,
+                                  tmp_path, capsys)
+    assert rc == EXIT_OK and json.loads(out)["scale"] == 1.0
+
+
+_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from dereverb.cli import main
+seen = ["scipy.signal" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), "scipy.signal" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_dereverb_and_evaluate_processes_never_import_scipy_signal(scene_dir,
+                                                                    tmp_path):
+    """scipy.signal costs most of a CLI process's start-up and only scene
+    rendering needs it: a fresh interpreter that imports the CLI and runs
+    dereverb and evaluate never loads it; simulate does."""
+    mix, ref = str(scene_dir / "y.wav"), str(scene_dir / "s.wav")
+    runs = [
+        ["dereverb", "--mixture", mix, "--reference", ref, "--algorithm", "fcp",
+         "--output", str(tmp_path / "e.wav")],
+        ["evaluate", "--estimate", str(tmp_path / "e.wav"), "--reference", ref],
+        ["simulate", "--out-dir", str(tmp_path / "sim"), "--sample-rate",
+         "8000", "--duration-s", "0.5"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, [EXIT_OK, False], [EXIT_OK, False],
+                                       [EXIT_OK, True]]
 
 
 # ---------------------------------------------------------------------------
