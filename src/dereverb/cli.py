@@ -118,6 +118,8 @@ def _prediction(name, given):
     if ignored:
         raise ConfigError(f"algorithm {name!r} does not use {', '.join(ignored)} "
                           f"(it uses {', '.join(algo.settings)})")
+    for key, val in given.items():
+        _check_setting(key, val)
     try:
         pred = algo.defaults(**{
             f.name: given[f.name] if f.type is str else f.type(given[f.name])
@@ -148,12 +150,36 @@ _NUMBERS = {"sample_rate": int, "duration_s": float, "seed": int, "t60": float,
             "eps": float, "diag_load": float, "iters": int}
 
 
+def _check_setting(key, val):
+    """Raise a ConfigError naming ``key`` unless ``val`` suits it: true or
+    false for a flag and for no other setting, a finite number for a
+    numeric setting, and a whole one for an integer setting (2.7 is not
+    truncated to 2)."""
+    if key in _FLAGS:
+        if not isinstance(val, bool):
+            raise ConfigError(f"{key} must be true or false; got {val!r}")
+        return
+    if isinstance(val, bool):
+        raise ConfigError(f"{key} must not be true/false; got {val!r}")
+    kind = _NUMBERS.get(key)
+    if kind is None:
+        return
+    try:
+        num = kind(val)
+        finite, whole = math.isfinite(num), float(val) == num
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key} must be a finite number; got {val!r}")
+    if not whole:
+        raise ConfigError(f"{key} must be an integer; got {val!r}")
+
+
 def _merge_config(args, keys):
     """defaults < --config file < explicit flags.
 
     A file key outside ``keys`` is an error and a ``null`` value means the
-    default. A bool outside ``_FLAGS`` and a numeric setting that is not a
-    finite number are errors naming the setting.
+    default. Every other value must pass ``_check_setting``.
     """
     config = {}
     if getattr(args, "config", None):
@@ -171,15 +197,7 @@ def _merge_config(args, keys):
         if val is not None:
             config[key] = val
     for key, val in config.items():
-        if isinstance(val, bool) and key not in _FLAGS:
-            raise ConfigError(f"{key} must not be true/false; got {val!r}")
-        if key in _NUMBERS:
-            try:
-                finite = math.isfinite(_NUMBERS[key](val))
-            except (TypeError, ValueError, OverflowError):
-                finite = False
-            if not finite:
-                raise ConfigError(f"{key} must be a finite number; got {val!r}")
+        _check_setting(key, val)
     return config
 
 
@@ -301,24 +319,35 @@ def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
     return out, fs
 
 
-def _build_estimates(config, refs, cfg, n_samples):
+def _estimates_read(algo, n_available):
+    """How many of ``n_available`` estimates ``algo`` reads: none, the first
+    only (a multi-pass algorithm takes one estimate in), or all."""
+    if not algo.reads_estimate:
+        return 0
+    return 1 if algo.multi_pass else n_available
+
+
+def _build_estimates(config, refs, cfg, n_samples, algo):
+    """The estimate STFTs ``algo`` reads, and the estimate mode. External
+    estimates are all loaded and checked, read or not."""
     mode = config.get("estimate_mode", "oracle")
     seed = int(config.get("seed", 0))
-    if mode == "oracle":
-        return [analyze(r, cfg).data for r in refs], mode
-    if mode == "degraded":
-        err = config.get("estimate_error_snr_db")
-        if err is None:
-            raise ConfigError("estimate_mode 'degraded' needs estimate_error_snr_db")
-        return [analyze(degrade(r, float(err), seed + i), cfg).data
-                for i, r in enumerate(refs)], mode
     if mode == "external":
         paths = config.get("estimate")
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
         signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
-        return [analyze(sig, cfg).data for sig in signals], mode
-    raise ConfigError(f"unknown estimate_mode {mode!r}")
+    elif mode in ("oracle", "degraded"):
+        signals = refs
+    else:
+        raise ConfigError(f"unknown estimate_mode {mode!r}")
+    signals = signals[:_estimates_read(algo, len(signals))]
+    if mode == "degraded":
+        err = config.get("estimate_error_snr_db")
+        if err is None:
+            raise ConfigError("estimate_mode 'degraded' needs estimate_error_snr_db")
+        signals = [degrade(r, float(err), seed + i) for i, r in enumerate(signals)]
+    return [analyze(sig, cfg).data for sig in signals], mode
 
 
 def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
@@ -362,20 +391,30 @@ def _n_outputs(algo, ests):
     return len(ests) if algo.per_source else 1
 
 
-def _source_metrics(outputs, mixture, refs, max_lag, unprocessed, sources=None):
-    """Metrics of each output, and of the mixture, against the reference of
-    its source: output i is source ``sources[i]`` (default i).
-    ``unprocessed`` caches the mixture's metrics by source."""
-    per_source = []
-    for c, sig in zip(sources or range(len(outputs)), outputs):
-        if c not in unprocessed:
-            unprocessed[c] = metrics.evaluate_pair(mixture, refs[c], max_lag).to_dict()
-        per_source.append({
-            "source": c,
-            "unprocessed": unprocessed[c],
-            "enhanced": metrics.evaluate_pair(sig, refs[c], max_lag).to_dict(),
-        })
-    return per_source
+class _Scores:
+    """Metrics against each source's reference, whose spectrum is computed
+    once (``metrics.Reference``); the mixture's metrics are cached by
+    source."""
+
+    def __init__(self, mixture, refs):
+        self.mixture = mixture
+        self.refs = [metrics.Reference(r) for r in refs]
+        self.unprocessed = {}
+
+    def per_source(self, outputs, max_lag, sources=None):
+        """Metrics of each output, and of the mixture, against the reference
+        of its source: output i is source ``sources[i]`` (default i)."""
+        per_source = []
+        for c, sig in zip(sources or range(len(outputs)), outputs):
+            ref = self.refs[c]
+            if c not in self.unprocessed:
+                self.unprocessed[c] = ref.score(self.mixture, max_lag).to_dict()
+            per_source.append({
+                "source": c,
+                "unprocessed": self.unprocessed[c],
+                "enhanced": ref.score(sig, max_lag).to_dict(),
+            })
+        return per_source
 
 
 def _max_lag(value, n_samples):
@@ -437,7 +476,8 @@ def cmd_dereverb(config):
         if config.get("estimate_mode", "oracle") != "external" and not refs:
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
-        ests, est_mode = _build_estimates(config, refs, cfg, mixture.size)
+        ests, est_mode = _build_estimates(config, refs, cfg, mixture.size,
+                                          ALGORITHMS[name])
     n_outputs = _n_outputs(ALGORITHMS[name], ests)
     if refs and len(refs) < n_outputs:
         raise ConfigError(f"algorithm {name!r} writes {n_outputs} outputs and "
@@ -466,7 +506,7 @@ def cmd_dereverb(config):
         "outputs": written,
     }
     if refs:
-        report["metrics"] = _source_metrics(outputs, mixture, refs, max_lag, {})
+        report["metrics"] = _Scores(mixture, refs).per_source(outputs, max_lag)
     if config.get("report"):
         _write_json(config["report"], report)
     return report
@@ -529,16 +569,17 @@ def _sweep_scene(sweep, seed, t60, snr_db):
     return scene, analyze(scene.y, cfg)
 
 
-def _sweep_estimates(scene, cfg, seed, est_err):
-    """Oracle (``est_err`` None) or degraded STFTs of each direct path."""
+def _sweep_estimates(scene, cfg, seed, est_err, count):
+    """Oracle (``est_err`` None) or degraded STFTs of the first ``count``
+    direct paths."""
     if est_err is None:
-        return [analyze(d, cfg).data for d in scene.direct]
+        return [analyze(d, cfg).data for d in scene.direct[:count]]
     return [analyze(degrade(d, float(est_err), seed + 7919 * (c + 1)), cfg).data
-            for c, d in enumerate(scene.direct)]
+            for c, d in enumerate(scene.direct[:count])]
 
 
 def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
-                       solved, unprocessed):
+                       solved, scores):
     """Run one algorithm entry on a prepared scene; returns its per-source
     metrics.
 
@@ -549,12 +590,13 @@ def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
     with other passes it is rejected, so it is then its own family. The
     estimate error is None for an algorithm that reads no estimate.
 
-    ``unprocessed`` holds the mixture's metrics on this scene, shared by the
-    rows. It is filled after the algorithm has run, so an algorithm error is
-    raised before a metric error.
+    ``scores`` holds this scene's references and the mixture's metrics,
+    shared by the rows. It is filled after the algorithm has run, so an
+    algorithm error is raised before a metric error.
     """
     algo = ALGORITHMS[name]
     pred, _ = _prediction(name, given)
+    _check_setting("passes", passes)
     passes = int(passes)
     family = (algo.per_source if passes == 1 else None) or name
     keys = [(family, pred, passes, c, est_err if algo.reads_estimate else None)
@@ -564,9 +606,9 @@ def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
         outputs_tf = run_algorithm(
             name, pred, mix_tf, [ests[c] for c in missing] if algo.per_source
             else ests, passes, scene.n_samples)
-        entries = _source_metrics(
-            _enhanced(mix_tf, outputs_tf, scene.n_samples), scene.y, scene.direct,
-            int(sweep.get("max_lag", 512)), unprocessed, missing)
+        entries = scores.per_source(
+            _enhanced(mix_tf, outputs_tf, scene.n_samples),
+            int(sweep.get("max_lag", 512)), missing)
         solved.update(zip([keys[c] for c in missing], entries))
     return [solved[key] for key in keys]
 
@@ -579,16 +621,19 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
     scene_error = None
     try:
         scene, mix_tf = _sweep_scene(sweep, seed_i, t60_f, snr_db)
+        scores = _Scores(scene.y, scene.direct)
+        n_ests = max(_estimates_read(ALGORITHMS[name], scene.n_sources)
+                     for name, *_ in algorithms)
     except Exception as exc:  # recorded in each of its rows
         scene_error = str(exc)
-    unprocessed = {}
     solved = {}
     rows = []
     for est_err in est_errs:
         ests, est_error = [], scene_error
         if scene_error is None:
             try:
-                ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err)
+                ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err,
+                                        n_ests)
             except Exception as exc:  # recorded in each row that reads them
                 est_error = str(exc)
         for name, given, passes, settings in algorithms:
@@ -597,7 +642,7 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
                 try:
                     per_source = _sweep_row_metrics(
                         sweep, name, given, passes, scene, mix_tf, ests, est_err,
-                        solved, unprocessed)
+                        solved, scores)
                 except Exception as exc:  # recorded, sweep continues
                     error = str(exc)
             row = {"seed": seed, "t60": t60, "snr_db": snr_db,
@@ -608,6 +653,15 @@ def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
                 row.update(seed=seed_i, t60=t60_f, metrics=copy.deepcopy(per_source))
             rows.append(row)
     return rows
+
+
+# The settings a sweep takes; the scalar ones and the seeds are checked
+# before any work, while another bad value in a list fails only the rows
+# that use it.
+_SWEEP_SCALARS = ("sample_rate", "duration_s", "n_sources", "early_only",
+                  "max_lag")
+_SWEEP_KEYS = ("seeds", "t60", "snr_db", "estimate_error_snr_db",
+               "algorithms") + _SWEEP_SCALARS
 
 
 def run_experiment(sweep):
@@ -621,9 +675,20 @@ def run_experiment(sweep):
     algorithm that reads no estimate runs once per scene. Every row equals
     the one computed on its own, whatever the order of the algorithms.
     Failures are recorded in every row that depends on them and the sweep
-    continues; a failed row is computed again for each estimate error.
+    continues; a failed row is computed again for each estimate error. An
+    unknown key, a bad scalar setting or a bad seed is a ConfigError before
+    any work.
     """
+    unknown = [k for k in sweep if k not in _SWEEP_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown sweep setting(s) {', '.join(map(repr, unknown))}; "
+                          f"a sweep takes {', '.join(_SWEEP_KEYS)}")
+    for key in _SWEEP_SCALARS:
+        if sweep.get(key) is not None:
+            _check_setting(key, sweep[key])
     seeds = sweep.get("seeds", [])
+    for seed in seeds:
+        _check_setting("seed", seed)
     t60s = sweep.get("t60", [0.4])
     snrs = sweep.get("snr_db", [None])
     est_errs = sweep.get("estimate_error_snr_db", [None])
@@ -696,7 +761,7 @@ def _write_csv(result, path):
 def cmd_experiment(config):
     sweep_path = config.get("sweep")
     sweep = load_config(sweep_path) if sweep_path else {
-        k: v for k, v in config.items() if k not in ("output", "csv")}
+        k: v for k, v in config.items() if k not in ("sweep", "output", "csv")}
     if not isinstance(sweep, dict):
         raise ConfigError("sweep config must be a JSON object")
     result = run_experiment(sweep)

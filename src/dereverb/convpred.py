@@ -4,7 +4,8 @@ inverse convolutive prediction (ICP), forward convolutive prediction (FCP),
 and their multi-source variants.
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
-Frequency bins are solved independently in batched linear-algebra calls.
+Frequency bins are solved independently, one GEMM, one Cholesky factor and
+three triangular solves each on numpy's OpenBLAS (``_blas.Kernels``).
 When numpy's OpenBLAS runs on one thread, ``solve_wls`` and ``apply_filter``
 split the bins into one contiguous range per core and run each range on a
 thread pool that lives for that call only; every bin goes through the same
@@ -191,11 +192,11 @@ def apply_filter(filters, z):
 
 
 # Bins buffered at a time by all workers of solve_wls together, and the most
-# workers it uses. Each of W workers runs weighted GEMMs over blocks of
-# _BIN_BLOCK // W bins; a block needs two (block, K+1, T) complex buffers,
-# 5.3 MB each for 16 bins at 16 kHz (K = 40, T = 503). Blocks of 8 to 32
-# bins ran fastest there on one thread, 64 and up slower as the buffers
-# leave the cache.
+# workers it uses. Each of W workers fills and multiplies blocks of
+# _BIN_BLOCK // W bins; a block needs one (block, K+1, T) complex buffer,
+# 5.3 MB for 16 bins at 16 kHz (K = 40, T = 503). Blocks of 8 to 32 bins
+# ran fastest there on one thread, 64 and up slower as the buffer leaves
+# the cache.
 _BIN_BLOCK = 16
 
 
@@ -232,44 +233,6 @@ def _over_bins(n_bins, run):
         return [first] + [future.result() for future in rest]
 
 
-def _weighted_gram(z, d, taps, delay, w, block):
-    """Per-bin [[R, r], [r^H, e]] of the augmented sqrt-weighted stack.
-
-    Row k < K of the (K+1, T - delay) matrix M of bin f holds
-    z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
-    d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
-    left out. M @ M^H then carries the Gram matrix R and the right-hand side
-    r of the normal equations. Bins are processed in blocks of ``block``
-    so the working set stays bounded whatever the number of bins.
-
-    Returns:
-        (F, K+1, K+1) complex array.
-    """
-    n_frames, n_bins = z.shape
-    n_cols = n_frames - delay
-    full = np.zeros((n_bins, taps + 1, taps + 1), dtype=np.complex128)
-    if n_cols <= 0:
-        return full
-    # zp[f, taps - 1 + j] = z(j, f), so row k of M is zp[f, taps-1-k : taps-1-k+n_cols]
-    zp = np.zeros((n_bins, taps - 1 + n_cols), dtype=np.complex128)
-    zp[:, taps - 1:] = z[:n_cols].T
-    sqrt_inv_w = np.sqrt(1.0 / w[delay:].T)        # (F, n_cols)
-    d_t = d[delay:].T
-    block = min(block, n_bins)
-    aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
-    aug_conj = np.empty_like(aug)
-    for lo in range(0, n_bins, block):
-        hi = min(lo + block, n_bins)
-        m, m_conj = aug[:hi - lo], aug_conj[:hi - lo]
-        shifted = np.lib.stride_tricks.sliding_window_view(
-            zp[lo:hi], n_cols, axis=1)[:, ::-1]      # (b, K, n_cols)
-        np.multiply(shifted, sqrt_inv_w[lo:hi, None, :], out=m[:, :taps])
-        np.multiply(d_t[lo:hi], sqrt_inv_w[lo:hi], out=m[:, taps])
-        np.conjugate(m, out=m_conj)
-        np.matmul(m, np.swapaxes(m_conj, 1, 2), out=full[lo:hi])
-    return full
-
-
 def _refined_solve(gram, rhs):
     """Batched solve with two rounds of iterative refinement, which recover
     the digits the normal equations lose on ill-conditioned bins."""
@@ -279,36 +242,105 @@ def _refined_solve(gram, rhs):
     return sol
 
 
-def _solve_range(z, d, taps, delay, w, diag_load, block):
-    """solve_wls's filters for validated inputs, GEMM blocks of ``block``
-    bins; returns an (F, K) array and the number of bins that fell back to
-    lstsq."""
-    n_bins = z.shape[1]
-    full = _weighted_gram(z, d, taps, delay, w, block)
-    gram = full[:, :taps, :taps]                    # (F, K, K)
-    rhs = full[:, :taps, taps:]                     # (F, K, 1)
+def _lu_solve(gram, rhs):
+    """``_refined_solve`` on LU factors; a matrix that is exactly singular
+    gets lstsq's minimum-norm solution while the others are still solved
+    batched. Returns the solutions and the number of singular matrices."""
+    try:
+        return _refined_solve(gram, rhs), 0
+    except np.linalg.LinAlgError:
+        # slogdet's LU meets the same exact zero pivot that failed the solve
+        singular = np.linalg.slogdet(gram)[0] == 0
+        sol = np.empty_like(rhs)
+        sol[~singular] = _refined_solve(gram[~singular], rhs[~singular])
+        for i in np.flatnonzero(singular):
+            sol[i] = np.linalg.lstsq(gram[i], rhs[i], rcond=None)[0]
+        return sol, int(np.count_nonzero(singular))
 
-    trace = np.einsum("fkk->f", gram).real
-    live = trace > 0
+
+def _cholesky_solve(kernels, gram, rhs, live, factor):
+    """Solutions of the live bins' systems on one Cholesky factor each,
+    with two rounds of iterative refinement; bins whose factorization fails
+    go to ``_lu_solve``. ``factor`` is a buffer shaped like ``gram``.
+    Returns the solutions (zero for dead bins) and the number of singular
+    matrices."""
+    factor[...] = gram
+    live_bins = np.flatnonzero(live)
+    factored = kernels.cholesky(factor, live_bins)
+    chol = np.zeros_like(live)
+    chol[live_bins[factored]] = True
+    which = np.flatnonzero(chol)
+    sol = np.zeros_like(rhs)
+    for _ in range(3):
+        resid = rhs - gram @ sol
+        kernels.solve(factor, resid, which)
+        np.add(sol, resid, out=sol, where=chol[:, None, None])
+    failed = live & ~chol
+    if not np.any(failed):
+        return sol, 0
+    sol[failed], n_singular = _lu_solve(gram[failed], rhs[failed])
+    return sol, n_singular
+
+
+def _solve_range(z, d, taps, delay, w, diag_load, block):
+    """solve_wls's filters for validated inputs, in blocks of ``block``
+    bins; returns an (F, K) array and the number of bins that fell back to
+    lstsq.
+
+    Row k < K of the (K+1, T - delay) matrix M of bin f holds
+    z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
+    d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
+    left out. M @ M^H is [[R, r], [r^H, e]]: the Gram matrix R and the
+    right-hand side r of the normal equations. Each block fills M once,
+    multiplies it into a block-sized Gram buffer, loads the diagonal in
+    place and solves; on numpy's OpenBLAS with one GEMM, one Cholesky
+    factor and three triangular solves per bin, otherwise with numpy's
+    batched matmul and LU solves.
+    """
+    n_frames, n_bins = z.shape
+    n_cols = n_frames - delay
     filters = np.zeros((n_bins, taps), dtype=np.complex128)
+    if n_cols <= 0:
+        return filters, 0
+    kernels = _blas.numpy_kernels()
+    # zp[f, taps - 1 + j] = z(j, f), so row k of M is zp[f, taps-1-k : taps-1-k+n_cols]
+    zp = np.zeros((n_bins, taps - 1 + n_cols), dtype=np.complex128)
+    zp[:, taps - 1:] = z[:n_cols].T
+    sqrt_inv_w = np.sqrt(1.0 / w[delay:].T)        # (F, n_cols)
+    d_t = d[delay:].T
+    block = min(block, n_bins)
+    aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
+    products = np.empty((block, taps + 1, taps + 1), dtype=np.complex128)
+    factors = np.empty((block, taps, taps), dtype=np.complex128)
     n_singular = 0
-    if np.any(live):
-        g_live = gram[live]
-        b_live = rhs[live]
-        if diag_load > 0:
-            load = diag_load * trace[live] / taps
-            g_live = g_live + load[:, None, None] * np.eye(taps)
-        try:
-            sol = _refined_solve(g_live, b_live)
-        except np.linalg.LinAlgError:
-            # slogdet's LU meets the same exact zero pivot that failed the solve
-            singular = np.linalg.slogdet(g_live)[0] == 0
-            sol = np.empty_like(b_live)
-            sol[~singular] = _refined_solve(g_live[~singular], b_live[~singular])
-            for i in np.flatnonzero(singular):
-                sol[i] = np.linalg.lstsq(g_live[i], b_live[i], rcond=None)[0]
-            n_singular = int(np.count_nonzero(singular))
-        filters[live] = sol[:, :, 0]
+    for lo in range(0, n_bins, block):
+        hi = min(lo + block, n_bins)
+        m, full = aug[:hi - lo], products[:hi - lo]
+        shifted = np.lib.stride_tricks.sliding_window_view(
+            zp[lo:hi], n_cols, axis=1)[:, ::-1]      # (b, K, n_cols)
+        np.multiply(shifted, sqrt_inv_w[lo:hi, None, :], out=m[:, :taps])
+        np.multiply(d_t[lo:hi], sqrt_inv_w[lo:hi], out=m[:, taps])
+        if kernels is None:
+            np.matmul(m, np.swapaxes(np.conj(m), 1, 2), out=full)
+        else:
+            kernels.gram(m, full)
+        gram = full[:, :taps, :taps]                # (b, K, K)
+        rhs = full[:, :taps, taps:]                 # (b, K, 1)
+        trace = np.einsum("fkk->f", gram).real
+        live = trace > 0
+        if not np.any(live):
+            continue
+        if diag_load > 0:                           # R's diagonal, in place
+            full.reshape(hi - lo, -1)[:, :taps * (taps + 2):taps + 2] += (
+                diag_load * trace / taps)[:, None]
+        if kernels is None:
+            sol, singular = _lu_solve(gram[live], rhs[live])
+            filters[lo:hi][live] = sol[:, :, 0]
+        else:
+            sol, singular = _cholesky_solve(kernels, gram, rhs, live,
+                                            factors[:hi - lo])
+            filters[lo:hi] = sol[:, :, 0]
+        n_singular += singular
     return filters, n_singular
 
 
@@ -319,19 +351,23 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
         sum_t |target(t, f) - g(f)^H z_tilde(t - delay, f)|^2 / weights(t, f)
     where z_tilde stacks ``taps`` past frames of ``stack_src``. Solved by
     normal equations in double precision with diagonal loading
-    diag_load * trace(R) / K per bin, plus two rounds of iterative
-    refinement. Bins whose stack carries no energy get a zero filter; bins
-    whose loaded Gram matrix is exactly singular get the minimum-norm
-    least-squares solution while the others are still solved batched; one
-    WARNING record gives their count.
+    diag_load * trace(R) / K per bin: one Cholesky factor per bin, and two
+    rounds of iterative refinement on it. Bins whose stack carries no
+    energy get a zero filter; a bin whose loaded Gram matrix is not
+    positive definite is solved by LU with the same refinement, and if it
+    is exactly singular gets the minimum-norm least-squares solution; one
+    WARNING record gives the count of those.
 
-    The Gram matrix R and right-hand side r come from one GEMM per block
-    of bins over the augmented stack [A | d] / sqrt(weights), whose
-    conjugate outer product is [[R, r], [r^H, .]]. The working set is two
-    (_BIN_BLOCK, K+1, T) buffers, shared out among the workers, plus the
-    (F, K+1, K+1) products, independent of the number of bins beyond that.
-    When numpy's OpenBLAS runs on one thread the bins are split into one
-    contiguous range per core, each solved on its own thread.
+    The Gram matrix R and right-hand side r of each bin come from one GEMM
+    of the augmented stack [A | d] / sqrt(weights) with its conjugate
+    transpose, which is [[R, r], [r^H, .]]. The working set is one
+    (_BIN_BLOCK, K+1, T) stack buffer plus (_BIN_BLOCK, K+1, K+1) products
+    and (_BIN_BLOCK, K, K) factors, shared out among the workers, and the
+    (F, K) filters, whatever the number of bins. The kernels run on numpy's
+    OpenBLAS through ctypes, without the GIL; without it, on numpy's
+    batched matmul and LU solves. When numpy's OpenBLAS runs on one thread
+    the bins are split into one contiguous range per core, each solved on
+    its own thread.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -400,12 +436,11 @@ def wpe_vanilla(mixture, cfg):
             "zeroes the residual and the problem is vacuous"
         )
     lam = _floored_power(np.abs(y) ** 2, cfg.eps)
-    shat = y
+    shat = y  # the residual of the previous filter; no filter at first
     filters = None
     trace = np.zeros((cfg.iters, 2))
     for i in range(cfg.iters):
-        resid_prev = y - apply_filter(filters, y) if filters is not None else y
-        trace[i, 0] = np.sum(np.abs(resid_prev) ** 2 / lam)
+        trace[i, 0] = np.sum(np.abs(shat) ** 2 / lam)
         filters = solve_wls(y, y, cfg.taps, cfg.delay, lam, cfg.diag_load)
         shat = y - apply_filter(filters, y)
         trace[i, 1] = np.sum(np.abs(shat) ** 2 / lam)

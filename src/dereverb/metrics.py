@@ -8,7 +8,8 @@ pair of length ``est.size + ref.size``: the reference spectrum R and the
 cross spectrum E conj(R). That length is at least 2N - 1, so the circular
 correlations they give are the linear ones. ``evaluate_pair`` builds the
 pair once and scores all three metrics from it: 2 forward and 3 inverse
-FFTs.
+FFTs. A ``Reference`` keeps R and the autocorrelation for the pairs that
+share a reference, so each further pair takes 3 FFTs.
 """
 
 import logging
@@ -73,11 +74,18 @@ def _spectra(est, ref):
     return n, spec_ref, np.fft.rfft(est, n=n) * np.conj(spec_ref)
 
 
-def _sdr_from_spectra(est, n, spec_ref, cross, n_taps, load):
-    """sdr_512 of a pair validated for ``n_taps``, from ``_spectra``."""
+def _autocorrelation(n, spec_ref, n_taps):
+    """sum_t ref(t) ref(t - k) for 0 <= k < n_taps, from ``_spectra``."""
     power = np.conj(spec_ref)
     power *= spec_ref                 # |R|^2; the imaginary parts are exactly 0
-    r = np.fft.irfft(power, n=n)[:n_taps]
+    return np.fft.irfft(power, n=n)[:n_taps]
+
+
+def _sdr_from_spectra(est, n, spec_ref, cross, n_taps, load, r=None):
+    """sdr_512 of a pair validated for ``n_taps``, from ``_spectra``; ``r``
+    is the reference autocorrelation, computed here if not given."""
+    if r is None:
+        r = _autocorrelation(n, spec_ref, n_taps)
     if r[0] <= 0.0:
         raise ValueError("reference is all zero")
     b = np.fft.irfft(cross, n=n)[:n_taps]
@@ -170,16 +178,38 @@ class MetricsReport:
         return d
 
 
+class Reference:
+    """A reference signal that several estimates are scored against.
+
+    ``score(est, max_lag)`` equals ``evaluate_pair(est, ref, max_lag)``,
+    errors and their order included. The reference spectrum and the
+    autocorrelation are computed on the first score that gets that far and
+    reused, so each further pair takes 3 FFTs instead of 5.
+    """
+
+    def __init__(self, ref):
+        self.ref = ref
+        self._spectrum = None      # (n, R, autocorrelation) once computed
+
+    def score(self, est, max_lag=512):
+        si = si_sdr(est, self.ref)
+        est, ref = _check_pair(est, self.ref, min_len=SDR_TAPS)
+        if self._spectrum is None:
+            n = est.size + ref.size
+            spec_ref = np.fft.rfft(ref, n=n)
+            self._spectrum = n, spec_ref, _autocorrelation(n, spec_ref, SDR_TAPS)
+        n, spec_ref, r = self._spectrum
+        cross = np.fft.rfft(est, n=n) * np.conj(spec_ref)
+        sdr = _sdr_from_spectra(est, n, spec_ref, cross, SDR_TAPS, _SDR_LOAD, r)
+        _check_gcc(est, ref, max_lag)
+        return MetricsReport(si_sdr=si, sdr_512=sdr,
+                             gcc_phat_delay=_gcc_from_cross(cross, n, max_lag))
+
+
 def evaluate_pair(est, ref, max_lag=512):
     """All metrics for one estimate against one reference.
 
     Equal to calling si_sdr, sdr_512 and gcc_phat_delay in turn, with the
     same errors in the same order, but the pair is transformed once.
     """
-    si = si_sdr(est, ref)
-    est, ref = _check_pair(est, ref, min_len=SDR_TAPS)
-    n, spec_ref, cross = _spectra(est, ref)
-    sdr = _sdr_from_spectra(est, n, spec_ref, cross, SDR_TAPS, _SDR_LOAD)
-    _check_gcc(est, ref, max_lag)
-    return MetricsReport(si_sdr=si, sdr_512=sdr,
-                         gcc_phat_delay=_gcc_from_cross(cross, n, max_lag))
+    return Reference(ref).score(est, max_lag)

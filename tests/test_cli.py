@@ -530,6 +530,7 @@ def _run_with_config(command, settings, scene_dir, tmp_path, capsys, flags=()):
                      "reference": str(scene_dir / "s.wav")},
         "evaluate": {"estimate": str(scene_dir / "y.wav"),
                      "reference": str(scene_dir / "s.wav")},
+        "experiment": small_sweep(seeds=[0]),
     }[command]
     path = tmp_path / f"{command}.json"
     path.write_text(json.dumps({**base, **settings}))
@@ -572,6 +573,40 @@ def test_config_bool_or_non_finite_setting_is_config_error(
     assert rc == EXIT_CONFIG and out == ""
     assert err.startswith(f"config error: {named} ")
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("command, settings, named", [
+    ("dereverb", {"passes": 2.7}, "passes"),
+    ("dereverb", {"taps": 8.5}, "taps"),
+    ("evaluate", {"max_lag": 100.5}, "max_lag"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("simulate", {"early_only": "no"}, "early_only"),
+    ("simulate", {"normalize": 0}, "normalize"),
+    ("experiment", {"bogus": 1}, "unknown sweep setting(s) 'bogus'"),
+    ("experiment", {"n_sources": 1.5}, "n_sources"),
+    ("experiment", {"early_only": "no"}, "early_only"),
+    ("experiment", {"seeds": [0, 2.7]}, "seed"),
+])
+def test_config_value_that_would_be_coerced_is_config_error(
+        scene_dir, tmp_path, capsys, command, settings, named):
+    """A value that int() would truncate, a non-bool flag that bool() would
+    read as true, and an unknown sweep key exit 2 naming the setting
+    before any work."""
+    rc, out, err = _run_with_config(command, settings, scene_dir, tmp_path,
+                                    capsys)
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: {named}")
+    assert not (tmp_path / "sim").exists()
+
+
+def test_sweep_entry_value_that_would_be_coerced_is_row_error():
+    result = run_experiment(small_sweep(seeds=[0], algorithms=[
+        {"name": "fcp", "taps": 8.5}, {"name": "fcp", "passes": 2.7},
+        {"name": "fcp", "taps": True}, "fcp"]))
+    errors = [r["error"] for r in result["rows"]]
+    assert errors == ["taps must be an integer; got 8.5",
+                      "passes must be an integer; got 2.7",
+                      "taps must not be true/false; got True", None]
 
 
 @pytest.mark.parametrize("command", ["simulate", "dereverb", "evaluate"])
@@ -732,6 +767,56 @@ def test_sweep_computes_each_input_once(monkeypatch):
     # of wpe_mf (their source 0 is the fcp and wpe_supplied problem)
     assert calls == {"_build_scene": 2, "analyze": 2 * (1 + 2 * 2),
                      "wpe_vanilla": 2, "solve_wls": 2 * (3 + 2 * 6)}
+
+
+def _count_analyze(monkeypatch):
+    calls = []
+    analyze = cli.analyze
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return analyze(*args, **kwargs)
+    monkeypatch.setattr(cli, "analyze", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["oracle", "degraded", "external"])
+def test_dereverb_builds_only_the_estimates_the_algorithm_reads(
+        duo_1s, tmp_path, monkeypatch, mode):
+    """fcp with two references reads one estimate: the mixture and one
+    estimate are analyzed, and the outputs and report equal those of a run
+    that builds both estimates."""
+    config = {"mixture": str(duo_1s / "y.wav"), "algorithm": "fcp",
+              "reference": [str(duo_1s / "s0.wav"), str(duo_1s / "s1.wav")],
+              "estimate_mode": mode, "estimate_error_snr_db": 10.0,
+              "estimate": [str(duo_1s / "s1.wav"), str(duo_1s / "s0.wav")]}
+    calls = _count_analyze(monkeypatch)
+    runs = []
+    for label in ("read", "all"):
+        out = tmp_path / label
+        out.mkdir()
+        report = cmd_dereverb({**config, "output": str(out / "o.wav")})
+        runs.append((report["metrics"], (out / "o.wav").read_bytes()))
+        assert len(calls) == (2 if label == "read" else 3)
+        calls.clear()
+        monkeypatch.setattr(cli, "_estimates_read", lambda algo, n: n)
+    assert runs[0] == runs[1]
+
+
+def test_sweep_builds_only_the_estimates_some_entry_reads(monkeypatch):
+    """A 2-source sweep of fcp analyzes the mixture and one estimate per
+    scene and estimate error; adding fcp_per_source builds both."""
+    calls = _count_analyze(monkeypatch)
+    sweep = two_source_sweep(t60=[0.3], algorithms=["fcp"])
+    read = run_experiment(sweep)
+    assert len(calls) == 1 + 2 * 1
+    calls.clear()
+    run_experiment({**sweep, "algorithms": ["fcp", "fcp_per_source"]})
+    assert len(calls) == 1 + 2 * 2
+    calls.clear()
+    monkeypatch.setattr(cli, "_estimates_read", lambda algo, n: n)
+    assert run_experiment(sweep) == read
+    assert len(calls) == 1 + 2 * 2
 
 
 def _count_solves(monkeypatch):

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dereverb import _blas, convpred
 from dereverb import (FilterBank, PredConfig, analyze, apply_filter,
@@ -225,9 +227,35 @@ def ranged_instance(bins, delay, taps=4, frames=40):
     return z, d, taps, delay, lam
 
 
+class KernelSpy:
+    """numpy's OpenBLAS kernels, recording the number of bins of every
+    Gram block they multiply."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.grams = []
+
+    def gram(self, m, out):
+        self.grams.append(m.shape[0])
+        self.kernels.gram(m, out)
+
+    def __getattr__(self, name):
+        return getattr(self.kernels, name)
+
+
+def solver_paths():
+    """The kernels of each solver path: None for the numpy fallback, and
+    numpy's OpenBLAS kernels behind a KernelSpy when numpy bundles it."""
+    kernels = _blas.numpy_kernels()
+    return [None] + ([KernelSpy(kernels)] if kernels is not None else [])
+
+
 @pytest.mark.parametrize("delay", [0, 3])
 @pytest.mark.parametrize("bins", [1, 3, _BIN_BLOCK - 1, 2 * _BIN_BLOCK + 3, 129])
 def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
+    """On either solver path: the same filters on 1, 2 and 3 workers, the
+    singular bin sent to lstsq once per call, and the workers together
+    buffering no more bins than one thread does."""
     z, d, taps, delay, lam = ranged_instance(bins, delay)
     lstsq_calls = []
     lstsq = np.linalg.lstsq
@@ -237,30 +265,62 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
         return lstsq(*args, **kwargs)
 
     blocks = []
-    weighted_gram = convpred._weighted_gram
+    solve_range = convpred._solve_range
 
     def block_spy(*args):
         blocks.append(args[-1])
-        return weighted_gram(*args)
+        return solve_range(*args)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    monkeypatch.setattr(convpred, "_weighted_gram", block_spy)
-    one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay, lam,
-                         diag_load=0.0).filters
-    assert len(lstsq_calls) == 1
-    for workers in (2, 3):
-        blocks.clear()
-        many = run_on_workers(monkeypatch, workers, solve_wls, z, d, taps,
-                              delay, lam, diag_load=0.0).filters
-        np.testing.assert_array_equal(many, one)
-        # the workers together buffer no more bins than one thread does
-        assert len(blocks) * max(blocks) <= _BIN_BLOCK
-        pred = [run_on_workers(monkeypatch, w, apply_filter,
-                               FilterBank(one, delay), z) for w in (1, workers)]
-        np.testing.assert_array_equal(pred[1], pred[0])
-    assert len(lstsq_calls) == 3
-    if bins > 1:
-        assert np.all(one[0] == 0)
+    monkeypatch.setattr(convpred, "_solve_range", block_spy)
+    for kernels in solver_paths():
+        monkeypatch.setattr(_blas, "numpy_kernels", lambda: kernels)
+        lstsq_calls.clear()
+        one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay, lam,
+                             diag_load=0.0).filters
+        assert len(lstsq_calls) == 1
+        for workers in (2, 3):
+            blocks.clear()
+            if kernels is not None:
+                kernels.grams.clear()
+            many = run_on_workers(monkeypatch, workers, solve_wls, z, d, taps,
+                                  delay, lam, diag_load=0.0).filters
+            np.testing.assert_array_equal(many, one)
+            assert len(blocks) == min(workers, bins)
+            assert len(blocks) * max(blocks) <= _BIN_BLOCK
+            if kernels is not None:  # no Gram block outgrows a worker's share
+                assert kernels.grams and max(kernels.grams) <= max(blocks)
+            pred = [run_on_workers(monkeypatch, w, apply_filter,
+                                   FilterBank(one, delay), z) for w in (1, workers)]
+            np.testing.assert_array_equal(pred[1], pred[0])
+        assert len(lstsq_calls) == 3
+        if bins > 1:
+            assert np.all(one[0] == 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 3),
+       st.integers(1, 6), st.integers(0, 24))
+def test_kernel_and_numpy_paths_agree(seed, taps, delay, bins, spare):
+    """The OpenBLAS path and the numpy fallback agree to 1e-12 relative on
+    overdetermined problems, and both stay within C1's 1e-8 of the
+    pseudo-inverse oracle."""
+    kernels = _blas.numpy_kernels()
+    if kernels is None:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    rng = np.random.default_rng(seed)
+    frames = 2 * taps + delay + 2 + spare
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    lam = rng.uniform(0.1, 10.0, (frames, bins))
+    with pytest.MonkeyPatch.context() as m:
+        fast = solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters
+        m.setattr(_blas, "numpy_kernels", lambda: None)
+        plain = solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters
+    assert np.linalg.norm(fast - plain) <= 1e-12 * np.linalg.norm(plain)
+    expected = wls_oracle(z, d, taps, delay, lam)
+    for filters in (fast, plain):
+        assert np.linalg.norm(filters - expected) < 1e-8 * np.linalg.norm(expected)
 
 
 def test_algorithms_bit_identical_on_any_worker_count(monkeypatch, reverb_scene,
@@ -299,17 +359,17 @@ def test_worker_exception_surfaces_and_pool_is_released(monkeypatch):
     class Boom(Exception):
         pass
 
-    refined_solve = convpred._refined_solve
+    solve_range = convpred._solve_range
     caller = threading.get_ident()
 
     def failing_off_caller(*args):
         if threading.get_ident() != caller:
             raise Boom("worker failed")
-        return refined_solve(*args)
+        return solve_range(*args)
 
     z, d, taps, delay, lam = ranged_instance(2 * _BIN_BLOCK + 3, 0)
     before = threading.active_count()
-    monkeypatch.setattr(convpred, "_refined_solve", failing_off_caller)
+    monkeypatch.setattr(convpred, "_solve_range", failing_off_caller)
     with pytest.raises(Boom):
         run_on_workers(monkeypatch, 2, solve_wls, z, d, taps, delay, lam)
     assert threading.active_count() == before
@@ -386,6 +446,37 @@ def test_wpe_objective_pairs_nonincreasing(reverb_scene, cfg8k):
     _, _, trace = wpe_vanilla(y, PredConfig.for_wpe())
     assert trace.shape == (3, 2)
     assert np.all(trace[:, 1] <= trace[:, 0] * (1 + 1e-10))
+
+
+def test_wpe_vanilla_applies_each_filter_once(monkeypatch, reverb_scene, cfg8k):
+    """Each iteration's first objective reuses the previous residual: one
+    apply_filter call per iteration, iters - 1 fewer than re-applying the
+    previous filter, with identical outputs."""
+    y = analyze(reverb_scene.y, cfg8k).data
+    cfg = PredConfig.for_wpe()
+    calls = []
+    apply = convpred.apply_filter
+
+    def counting_apply(filters, z):
+        calls.append(filters)
+        return apply(filters, z)
+
+    monkeypatch.setattr(convpred, "apply_filter", counting_apply)
+    shat, bank, trace = wpe_vanilla(y, cfg)
+    assert len(calls) == cfg.iters
+
+    lam = _floored_power(np.abs(y) ** 2, cfg.eps)
+    filters, expected_trace = None, np.zeros((cfg.iters, 2))
+    for i in range(cfg.iters):  # re-applies the previous filter
+        resid_prev = y - apply(filters, y) if filters is not None else y
+        expected_trace[i, 0] = np.sum(np.abs(resid_prev) ** 2 / lam)
+        filters = solve_wls(y, y, cfg.taps, cfg.delay, lam, cfg.diag_load)
+        expected = y - apply(filters, y)
+        expected_trace[i, 1] = np.sum(np.abs(expected) ** 2 / lam)
+        lam = _floored_power(np.abs(expected) ** 2, cfg.eps)
+    np.testing.assert_array_equal(shat, expected)
+    np.testing.assert_array_equal(bank.filters, filters.filters)
+    np.testing.assert_array_equal(trace, expected_trace)
 
 
 def test_wpe_keeps_anechoic_input_roughly_intact(cfg8k):

@@ -291,6 +291,48 @@ def test_evaluate_pair_runs_two_forward_and_three_inverse_ffts(ref, monkeypatch)
         monkeypatch.setattr(np.fft, name, counted)
     evaluate_pair(ref + 0.1 * np.roll(ref, 3), ref)
     assert counts == {"rfft": 2, "irfft": 3}
+    # pairs that share a Reference: the reference's 2 FFTs are taken once
+    counts.update(rfft=0, irfft=0)
+    shared = metrics.Reference(ref)
+    for shift in (1, 2, 3):
+        shared.score(ref + 0.1 * np.roll(ref, shift))
+    assert counts == {"rfft": 1 + 3, "irfft": 1 + 2 * 3}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(pairs(), min_size=1, max_size=3), st.integers(1, 256))
+def test_property_shared_reference_scores_equal_evaluate_pair(pairs_, max_lag):
+    ref = pairs_[0][1]
+    shared = metrics.Reference(ref)
+    for est, _ in pairs_:
+        est = np.resize(est, ref.size)
+        assert shared.score(est, max_lag) == evaluate_pair(est, ref, max_lag)
+
+
+@pytest.mark.parametrize("case", [
+    "zero reference", "300 samples", "zero estimate", "max_lag 0",
+    "max_lag > N/2"])
+def test_shared_reference_raises_as_evaluate_pair(ref, case):
+    """A Reference that has already scored a pair raises what
+    evaluate_pair raises, in the same order."""
+    est, sig, max_lag = ref + 1.0, ref.copy(), 512
+    if "zero reference" in case:
+        sig[:] = 0.0
+    if "300 samples" in case:
+        est = est[:300]
+    if "zero estimate" in case:
+        est = np.zeros_like(sig)
+    if "max_lag 0" in case:
+        max_lag = 0
+    if "max_lag > N/2" in case:
+        max_lag = sig.size // 2 + 1
+    shared = metrics.Reference(sig)
+    if "zero reference" not in case:
+        shared.score(ref + 0.5)
+    with pytest.raises(ValueError) as expected:
+        evaluate_pair(est, sig, max_lag)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        shared.score(est, max_lag)
 
 
 # ---------------------------------------------------------------------------
