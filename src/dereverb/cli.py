@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,8 +30,8 @@ from . import convpred, metrics
 from ._blas import numpy_openblas as _numpy_openblas
 from .scene import (RirSpec, degrade, gen_rir, render_scene, strip_late,
                     synth_speech)
-from .stft import StftConfig, analyze, synthesize
-from .wavio import read_wav, write_wav
+from .stft import SUPPORTED_RATES, StftConfig, analyze, synthesize
+from .wavio import ENCODINGS, read_wav, write_wav
 
 SCHEMA_VERSION = 1
 
@@ -101,30 +102,131 @@ class NumericalError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# settings
+
+class Setting(NamedTuple):
+    kind: type             # int, float, bool, or str (a name or a path)
+    default: object        # the value when absent or null; None for a
+                           # prediction setting: its algorithm's default
+    commands: str          # the commands that take it as a flag and a key
+    choices: tuple = ()    # the allowed values, when they are listed
+    bounds: tuple = (None, None)  # a number's inclusive range; None: open
+    flag: str = None       # None: --name-with-dashes; "": config file only
+    many: str = ""         # the commands whose flag appends (a list of values)
+    sweep: str = None      # in a sweep file: "scalar", "entry" (in each
+                           # algorithm entry), or the key of its list of values
+
+
+_DB = (-metrics.DB_CAP, metrics.DB_CAP)
+
+# Every setting of every command and sweep: build_parser, _merge_config,
+# run_experiment's checks and every typed read (_get) come from this table.
+SETTINGS = {
+    # scenes: simulate, and each scene of a sweep
+    "sample_rate": Setting(int, 16000, "simulate", SUPPORTED_RATES, sweep="scalar"),
+    "duration_s": Setting(float, 4.0, "simulate", bounds=(0, 600), sweep="scalar"),
+    "seed": Setting(int, 0, "simulate dereverb", bounds=(0, None), sweep="seeds"),
+    "t60": Setting(float, 0.4, "simulate", bounds=(0, 10), sweep="t60"),
+    "snr_db": Setting(float, None, "simulate", bounds=_DB, sweep="snr_db"),
+    "n_sources": Setting(int, 1, "simulate", bounds=(1, 16), sweep="scalar"),
+    "early_only": Setting(bool, False, "simulate", sweep="scalar"),
+    "normalize": Setting(bool, True, "simulate", flag=""),
+    # files
+    "out_dir": Setting(str, ".", "simulate"),
+    "mixture": Setting(str, None, "dereverb"),
+    "reference": Setting(str, None, "dereverb evaluate", many="dereverb"),
+    "estimate": Setting(str, None, "dereverb evaluate", many="dereverb"),
+    "output": Setting(str, None, "dereverb experiment"),
+    "report": Setting(str, None, "dereverb evaluate"),
+    "encoding": Setting(str, "float32", "simulate dereverb", ENCODINGS),
+    "sweep": Setting(str, None, "experiment", flag="--config"),
+    "csv": Setting(str, None, "experiment"),
+    # estimates and metrics
+    "estimate_mode": Setting(str, "oracle", "dereverb",
+                             ("oracle", "degraded", "external")),
+    "estimate_error_snr_db": Setting(float, None, "dereverb", bounds=_DB,
+                                     sweep="estimate_error_snr_db"),
+    # max_lag lies in [1, n // 2] for n-sample signals (_max_lag)
+    "max_lag": Setting(int, 512, "dereverb evaluate", sweep="scalar"),
+    # prediction: ALGORITHMS decides which of these apply, and the defaults
+    "algorithm": Setting(str, "fcp", "dereverb", tuple(ALGORITHMS)),
+    "taps": Setting(int, None, "dereverb", bounds=(1, 256), sweep="entry"),
+    "delay": Setting(int, None, "dereverb", bounds=(0, 256), sweep="entry"),
+    # eps lies in (0, 1] (PredConfig)
+    "eps": Setting(float, None, "dereverb", sweep="entry"),
+    "lambda_mode": Setting(str, None, "dereverb", convpred.LAMBDA_MODES,
+                           sweep="entry"),
+    "diag_load": Setting(float, None, "dereverb", bounds=(0, None), sweep="entry"),
+    "iters": Setting(int, None, "dereverb", bounds=(1, 100), sweep="entry"),
+    "passes": Setting(int, 1, "dereverb", bounds=(1, 100), sweep="entry"),
+}
+
+
+def _keys(command):
+    """The settings ``command`` takes."""
+    return [k for k, s in SETTINGS.items() if command in s.commands.split()]
+
+
+def _get(config, name):
+    """Setting ``name`` of ``config``, checked against its SETTINGS entry.
+
+    An absent or null value is the default. Any other must be of the
+    setting's type: true or false for a flag and for no other setting, a
+    string (or, where a flag appends, a list of strings), or a finite
+    number that an integer setting does not truncate (2.7 is not 2); and
+    among the setting's choices or within its bounds. Raises a ConfigError
+    naming the setting otherwise.
+    """
+    spec = SETTINGS[name]
+    val = config.get(name)
+    if val is None:
+        return spec.default
+    if spec.kind is bool or isinstance(val, bool):
+        if spec.kind is not bool:
+            raise ConfigError(f"{name} must not be true/false; got {val!r}")
+        if not isinstance(val, bool):
+            raise ConfigError(f"{name} must be true or false; got {val!r}")
+    elif spec.kind is str:
+        if not (isinstance(val, str) or spec.many and isinstance(val, list)
+                and all(isinstance(v, str) for v in val)):
+            raise ConfigError(f"{name} must be a string; got {val!r}")
+    else:
+        try:
+            num = spec.kind(val) if isinstance(val, numbers.Real) else None
+            finite = num is not None and math.isfinite(num)
+        except (ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"{name} must be a finite number; got {val!r}")
+        if num != val:
+            raise ConfigError(f"{name} must be an integer; got {val!r}")
+        val = num
+    if spec.choices and val not in spec.choices:
+        raise ConfigError(f"{name} must be one of "
+                          f"{', '.join(map(str, spec.choices))}; got {val!r}")
+    low, high = spec.bounds
+    if low is not None and val < low:
+        raise ConfigError(f"{name} must be >= {low:g}")
+    if high is not None and val > high:
+        raise ConfigError(f"{name} must be <= {high:g}")
+    return val
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
-
-def _algorithm(name):
-    if name not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {name!r}; "
-                          f"choose from {tuple(ALGORITHMS)}")
-    return ALGORITHMS[name]
-
 
 def _prediction(name, given):
     """The validated PredConfig of algorithm ``name`` with the explicit
     settings ``given``, and the settings it applies."""
-    algo = _algorithm(name)
+    algo = ALGORITHMS[name]
     ignored = [k for k in given if k not in algo.settings]
     if ignored:
         raise ConfigError(f"algorithm {name!r} does not use {', '.join(ignored)} "
                           f"(it uses {', '.join(algo.settings)})")
-    for key, val in given.items():
-        _check_setting(key, val)
+    typed = {k: _get(given, k) for k in given if given[k] is not None}
     try:
-        pred = algo.defaults(**{
-            f.name: given[f.name] if f.type is str else f.type(given[f.name])
-            for f in _PRED_FIELDS if f.name in given})
-    except (TypeError, ValueError) as exc:
+        pred = algo.defaults(**typed)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if "delay" in algo.settings and pred.delay < 1:
         raise ConfigError(
@@ -134,58 +236,28 @@ def _prediction(name, given):
 
 
 def load_config(path):
+    """The JSON object in file ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: top-level JSON object expected")
+    return config
 
 
-# The settings that take true/false; a bool given for any other is an error.
-_FLAGS = ("early_only", "normalize")
-# Numeric settings and their types, checked before any typed read.
-_NUMBERS = {"sample_rate": int, "duration_s": float, "seed": int, "t60": float,
-            "snr_db": float, "n_sources": int, "estimate_error_snr_db": float,
-            "max_lag": int, "passes": int, "taps": int, "delay": int,
-            "eps": float, "diag_load": float, "iters": int}
-
-
-def _check_setting(key, val):
-    """Raise a ConfigError naming ``key`` unless ``val`` suits it: true or
-    false for a flag and for no other setting, a finite number for a
-    numeric setting, and a whole one for an integer setting (2.7 is not
-    truncated to 2)."""
-    if key in _FLAGS:
-        if not isinstance(val, bool):
-            raise ConfigError(f"{key} must be true or false; got {val!r}")
-        return
-    if isinstance(val, bool):
-        raise ConfigError(f"{key} must not be true/false; got {val!r}")
-    kind = _NUMBERS.get(key)
-    if kind is None:
-        return
-    try:
-        num = kind(val)
-        finite, whole = math.isfinite(num), float(val) == num
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise ConfigError(f"{key} must be a finite number; got {val!r}")
-    if not whole:
-        raise ConfigError(f"{key} must be an integer; got {val!r}")
-
-
-def _merge_config(args, keys):
+def _merge_config(args, command):
     """defaults < --config file < explicit flags.
 
-    A file key outside ``keys`` is an error and a ``null`` value means the
-    default. Every other value must pass ``_check_setting``.
+    A file key ``command`` does not take is an error and a ``null`` value
+    means the default. Every other value must pass ``_get``, and be a
+    single value unless the command's flag appends.
     """
+    keys = _keys(command)
     config = {}
     if getattr(args, "config", None):
         file_cfg = load_config(args.config)
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"{args.config}: top-level JSON object expected")
         unknown = [k for k in file_cfg if k not in keys]
         if unknown:
             raise ConfigError(f"{args.config}: unknown setting(s) "
@@ -197,7 +269,9 @@ def _merge_config(args, keys):
         if val is not None:
             config[key] = val
     for key, val in config.items():
-        _check_setting(key, val)
+        _get(config, key)
+        if isinstance(val, list) and command not in SETTINGS[key].many.split():
+            raise ConfigError(f"{key} must be a string; got {val!r}")
     return config
 
 
@@ -211,23 +285,18 @@ def _check_finite(x, what):
 # simulate
 
 def _build_scene(config):
-    fs = int(config.get("sample_rate", 16000))
-    if fs not in (8000, 16000):
-        raise ConfigError("sample_rate must be 8000 or 16000")
-    duration = float(config.get("duration_s", 4.0))
-    if duration <= 0:
-        raise ConfigError("duration_s must be positive")
-    seed = int(config.get("seed", 0))
-    t60 = float(config.get("t60", 0.4))
-    if t60 < 0:
-        raise ConfigError("t60 must be >= 0")
-    n_sources = int(config.get("n_sources", 1))
-    if n_sources < 1:
-        raise ConfigError("n_sources must be >= 1")
-    snr_db = config.get("snr_db", None)
-    early_only = bool(config.get("early_only", False))
+    fs = _get(config, "sample_rate")
+    duration = _get(config, "duration_s")
+    n = round(duration * fs)
+    if n < 2:  # a source has a mean and a deviation
+        raise ConfigError(f"duration_s must give at least 2 samples at {fs} Hz; "
+                          f"got {duration}")
+    seed = _get(config, "seed")
+    t60 = _get(config, "t60")
+    n_sources = _get(config, "n_sources")
+    snr_db = _get(config, "snr_db")
+    early_only = _get(config, "early_only")
 
-    n = int(round(duration * fs))
     rng = np.random.default_rng(seed)
     dry = [synth_speech(n, fs, seed=int(rng.integers(2 ** 31))) for _ in range(n_sources)]
 
@@ -251,17 +320,16 @@ def _build_scene(config):
         noise = rng.standard_normal(n)
     elif snr_db is not None and early_only:
         snr_db = None  # early-reflections-only scenario drops the noise too
-    return render_scene(dry, rirs, noise=noise,
-                        snr_db=None if snr_db is None else float(snr_db),
-                        normalize=bool(config.get("normalize", True)))
+    return render_scene(dry, rirs, noise=noise, snr_db=snr_db,
+                        normalize=_get(config, "normalize"))
 
 
 def cmd_simulate(config):
     """Render a scene to WAV files plus a manifest JSON."""
-    out_dir = Path(config.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    encoding = config.get("encoding", "float32")
+    out_dir = Path(_get(config, "out_dir"))
+    encoding = _get(config, "encoding")
     scene = _build_scene(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fs = scene.sample_rate
 
     files = {}
@@ -330,23 +398,21 @@ def _estimates_read(algo, n_available):
 def _build_estimates(config, refs, cfg, n_samples, algo):
     """The estimate STFTs ``algo`` reads, and the estimate mode. External
     estimates are all loaded and checked, read or not."""
-    mode = config.get("estimate_mode", "oracle")
-    seed = int(config.get("seed", 0))
+    mode = _get(config, "estimate_mode")
     if mode == "external":
-        paths = config.get("estimate")
+        paths = _get(config, "estimate")
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
         signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
-    elif mode in ("oracle", "degraded"):
-        signals = refs
     else:
-        raise ConfigError(f"unknown estimate_mode {mode!r}")
+        signals = refs
     signals = signals[:_estimates_read(algo, len(signals))]
     if mode == "degraded":
-        err = config.get("estimate_error_snr_db")
+        err = _get(config, "estimate_error_snr_db")
         if err is None:
             raise ConfigError("estimate_mode 'degraded' needs estimate_error_snr_db")
-        signals = [degrade(r, float(err), seed + i) for i, r in enumerate(signals)]
+        seed = _get(config, "seed")
+        signals = [degrade(r, err, seed + i) for i, r in enumerate(signals)]
     return [analyze(sig, cfg).data for sig in signals], mode
 
 
@@ -363,9 +429,8 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
     Returns:
         list of T x F output arrays.
     """
-    algo = _algorithm(name)
-    if passes < 1:
-        raise ConfigError("passes must be >= 1")
+    algo = ALGORITHMS[_get({"algorithm": name}, "algorithm")]
+    passes = _get({"passes": passes}, "passes")
     if passes > 1 and not algo.multi_pass:
         raise ConfigError(f"passes > 1 applies to single-estimate algorithms, "
                           f"not {name!r}")
@@ -417,21 +482,18 @@ class _Scores:
         return per_source
 
 
-def _max_lag(value, n_samples):
-    """The metrics' GCC-PHAT lag range (default 512), checked against the
-    length of the signals: n_samples >= SDR_TAPS and
-    1 <= max_lag <= n_samples // 2."""
+def _max_lag(config, n_samples):
+    """The metrics' GCC-PHAT lag range, checked against the length of the
+    signals: n_samples >= SDR_TAPS and 1 <= max_lag <= n_samples // 2."""
     if n_samples < metrics.SDR_TAPS:
         raise ConfigError(f"the metrics need signals of at least "
                           f"{metrics.SDR_TAPS} samples; got {n_samples}")
-    try:
-        max_lag = int(512 if value is None else value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"max_lag: {exc}") from exc
+    max_lag = _get(config, "max_lag")
     if not 1 <= max_lag <= n_samples // 2:
         raise ConfigError(f"max_lag must be in [1, {n_samples // 2}] for "
                           f"{n_samples}-sample signals; got {max_lag}"
-                          + (" (the default)" if value is None else ""))
+                          + (" (the default)" if config.get("max_lag") is None
+                             else ""))
     return max_lag
 
 
@@ -443,37 +505,34 @@ def _write_json(path, obj):
 
 def cmd_dereverb(config):
     """Run one algorithm on a mixture WAV; write enhanced WAV(s) + report."""
-    mixture_path = config.get("mixture")
+    mixture_path = _get(config, "mixture")
     if not mixture_path:
         raise ConfigError("a mixture WAV is required")
-    name = config.get("algorithm", "fcp")
+    name = _get(config, "algorithm")
     given = {f.name: config[f.name] for f in _PRED_FIELDS
              if config.get(f.name) is not None}
     pred, applied = _prediction(name, given)
-    passes = int(config.get("passes", 1))
-    if passes < 1:
-        raise ConfigError("passes must be >= 1")
-    if config.get("max_lag") is not None and not config.get("reference"):
+    passes = _get(config, "passes")
+    ref_paths = _get(config, "reference")
+    if config.get("max_lag") is not None and not ref_paths:
         raise ConfigError("max_lag sets the lag range of the metrics, which "
                           "need --reference signals")
 
     mixture, fs = _load_signals([mixture_path], what="mixture")
     mixture = mixture[0]
-    max_lag = (_max_lag(config.get("max_lag"), mixture.size)
-               if config.get("reference") else None)
+    max_lag = _max_lag(config, mixture.size) if ref_paths else None
     try:
         cfg = StftConfig.for_rate(fs)
     except ValueError as exc:
         raise ConfigError(f"{mixture_path}: {exc}") from exc
     mix_tf = analyze(mixture, cfg)
 
-    refs, _ = _load_signals(config.get("reference") or [], fs, mixture.size,
-                            "reference")
+    refs, _ = _load_signals(ref_paths or [], fs, mixture.size, "reference")
 
     ests = []
     est_mode = None
     if ALGORITHMS[name].reads_estimate:
-        if config.get("estimate_mode", "oracle") != "external" and not refs:
+        if _get(config, "estimate_mode") != "external" and not refs:
             raise ConfigError(
                 f"algorithm {name!r} needs --reference signals (or external estimates)")
         ests, est_mode = _build_estimates(config, refs, cfg, mixture.size,
@@ -488,12 +547,12 @@ def cmd_dereverb(config):
                                               mixture.size), mixture.size)
 
     written = []
-    if config.get("output"):
-        out_path = Path(config["output"])
+    if _get(config, "output"):
+        out_path = Path(_get(config, "output"))
         for c, sig in enumerate(outputs):  # out.wav, or out_0.wav, out_1.wav, ...
             p = out_path if len(outputs) == 1 else out_path.with_name(
                 f"{out_path.stem}_{c}{out_path.suffix}")
-            write_wav(p, sig, fs, config.get("encoding", "float32"))
+            write_wav(p, sig, fs, _get(config, "encoding"))
             written.append(str(p))
 
     report = {
@@ -507,8 +566,8 @@ def cmd_dereverb(config):
     }
     if refs:
         report["metrics"] = _Scores(mixture, refs).per_source(outputs, max_lag)
-    if config.get("report"):
-        _write_json(config["report"], report)
+    if _get(config, "report"):
+        _write_json(_get(config, "report"), report)
     return report
 
 
@@ -516,17 +575,17 @@ def cmd_dereverb(config):
 # evaluate
 
 def cmd_evaluate(config):
-    est_path = config.get("estimate")
-    ref_path = config.get("reference")
+    est_path = _get(config, "estimate")
+    ref_path = _get(config, "reference")
     if not est_path or not ref_path:
         raise ConfigError("evaluate needs an estimate WAV and a reference WAV")
     est, fs = _load_signals([est_path], what="estimate")
     ref, _ = _load_signals([ref_path], fs, est[0].size, "reference")
-    scores = metrics.evaluate_pair(est[0], ref[0], int(config.get("max_lag", 512)))
+    scores = metrics.evaluate_pair(est[0], ref[0], _max_lag(config, est[0].size))
     report = {"schema_version": SCHEMA_VERSION, "sample_rate": fs,
               **scores.to_dict()}
-    if config.get("report"):
-        _write_json(config["report"], report)
+    if _get(config, "report"):
+        _write_json(_get(config, "report"), report)
     return report
 
 
@@ -534,14 +593,20 @@ def cmd_evaluate(config):
 # experiment
 
 def _sweep_algorithms(sweep):
-    """(name, explicit settings, passes, row settings) per algorithm entry.
+    """(name, explicit settings, entry, row settings) per algorithm entry.
     Row settings are the applied ones (the given ones if invalid) and passes."""
+    entries = sweep.get("algorithms", [SETTINGS["algorithm"].default])
+    if not isinstance(entries, list):
+        raise ConfigError(f"algorithms must be a list; got {entries!r}")
     out = []
-    for entry in sweep.get("algorithms", ["fcp"]):
+    for entry in entries:
         if isinstance(entry, str):
             entry = {"name": entry}
-        name = entry.get("name")
-        _algorithm(name)  # an unknown name fails the whole sweep
+        if not isinstance(entry, dict):
+            raise ConfigError(f"an algorithm entry must be a name or an "
+                              f"object; got {entry!r}")
+        # an unknown name fails the whole sweep
+        name = _get({"algorithm": entry.get("name")}, "algorithm")
         given = {k: v for k, v in entry.items() if k not in ("name", "passes")}
         try:
             settings = _prediction(name, given)[1]
@@ -549,37 +614,23 @@ def _sweep_algorithms(sweep):
             settings = dict(given)
         if "passes" in entry:
             settings["passes"] = entry["passes"]
-        out.append((name, given, entry.get("passes", 1), settings))
+        out.append((name, given, entry, settings))
     return out
 
 
-def _sweep_scene(sweep, seed, t60, snr_db):
-    """The scene of one (seed, t60, snr) and its mixture STFT."""
-    fs = int(sweep.get("sample_rate", 16000))
-    cfg = StftConfig.for_rate(fs)
-    scene = _build_scene({
-        "sample_rate": fs,
-        "duration_s": sweep.get("duration_s", 4.0),
-        "seed": seed,
-        "t60": t60,
-        "snr_db": snr_db,
-        "n_sources": sweep.get("n_sources", 1),
-        "early_only": sweep.get("early_only", False),
-    })
-    return scene, analyze(scene.y, cfg)
-
-
-def _sweep_estimates(scene, cfg, seed, est_err, count):
-    """Oracle (``est_err`` None) or degraded STFTs of the first ``count``
-    direct paths."""
-    if est_err is None:
+def _sweep_estimates(scene, cfg, point, count):
+    """Oracle (no estimate error at ``point``) or degraded STFTs of the
+    first ``count`` direct paths."""
+    err = _get(point, "estimate_error_snr_db")
+    if err is None:
         return [analyze(d, cfg).data for d in scene.direct[:count]]
-    return [analyze(degrade(d, float(est_err), seed + 7919 * (c + 1)), cfg).data
+    seed = _get(point, "seed")
+    return [analyze(degrade(d, err, seed + 7919 * (c + 1)), cfg).data
             for c, d in enumerate(scene.direct[:count])]
 
 
-def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
-                       solved, scores):
+def _sweep_row_metrics(point, name, given, entry, scene, mix_tf, ests, solved,
+                       scores):
     """Run one algorithm entry on a prepared scene; returns its per-source
     metrics.
 
@@ -596,10 +647,10 @@ def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
     """
     algo = ALGORITHMS[name]
     pred, _ = _prediction(name, given)
-    _check_setting("passes", passes)
-    passes = int(passes)
+    passes = _get(entry, "passes")
     family = (algo.per_source if passes == 1 else None) or name
-    keys = [(family, pred, passes, c, est_err if algo.reads_estimate else None)
+    est_err = point["estimate_error_snr_db"] if algo.reads_estimate else None
+    keys = [(family, pred, passes, c, est_err)
             for c in range(_n_outputs(algo, ests))]
     missing = [c for c, key in enumerate(keys) if key not in solved]
     if missing:
@@ -608,60 +659,53 @@ def _sweep_row_metrics(sweep, name, given, passes, scene, mix_tf, ests, est_err,
             else ests, passes, scene.n_samples)
         entries = scores.per_source(
             _enhanced(mix_tf, outputs_tf, scene.n_samples),
-            int(sweep.get("max_lag", 512)), missing)
+            _max_lag(point, scene.n_samples), missing)
         solved.update(zip([keys[c] for c in missing], entries))
     return [solved[key] for key in keys]
 
 
-def _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms):
-    """The rows of one (seed, t60, snr), estimate error by algorithm."""
+def _scene_rows(point, est_errs, algorithms):
+    """The rows of one sweep point (the sweep's scalar settings, a seed, a
+    t60 and an snr_db), estimate error by algorithm."""
     if not (est_errs and algorithms):
         return []  # no rows: render nothing
-    seed_i, t60_f = int(seed), float(t60)
     scene_error = None
     try:
-        scene, mix_tf = _sweep_scene(sweep, seed_i, t60_f, snr_db)
+        scene = _build_scene(point)
+        mix_tf = analyze(scene.y, StftConfig.for_rate(scene.sample_rate))
         scores = _Scores(scene.y, scene.direct)
         n_ests = max(_estimates_read(ALGORITHMS[name], scene.n_sources)
                      for name, *_ in algorithms)
+        typed = {"seed": _get(point, "seed"), "t60": _get(point, "t60")}
     except Exception as exc:  # recorded in each of its rows
         scene_error = str(exc)
     solved = {}
     rows = []
     for est_err in est_errs:
+        at = {**point, "estimate_error_snr_db": est_err}
         ests, est_error = [], scene_error
         if scene_error is None:
             try:
-                ests = _sweep_estimates(scene, mix_tf.config, seed_i, est_err,
-                                        n_ests)
+                ests = _sweep_estimates(scene, mix_tf.config, at, n_ests)
             except Exception as exc:  # recorded in each row that reads them
                 est_error = str(exc)
-        for name, given, passes, settings in algorithms:
+        for name, given, entry, settings in algorithms:
             error = est_error if ALGORITHMS[name].reads_estimate else scene_error
             if error is None:
                 try:
                     per_source = _sweep_row_metrics(
-                        sweep, name, given, passes, scene, mix_tf, ests, est_err,
-                        solved, scores)
+                        at, name, given, entry, scene, mix_tf, ests, solved,
+                        scores)
                 except Exception as exc:  # recorded, sweep continues
                     error = str(exc)
-            row = {"seed": seed, "t60": t60, "snr_db": snr_db,
-                   "estimate_error_snr_db": est_err,
+            row = {"seed": point["seed"], "t60": point["t60"],
+                   "snr_db": point["snr_db"], "estimate_error_snr_db": est_err,
                    "algorithm": name, "settings": settings,
                    "metrics": None, "error": error}
             if error is None:  # a failed row keeps the config's seed and t60
-                row.update(seed=seed_i, t60=t60_f, metrics=copy.deepcopy(per_source))
+                row.update(typed, metrics=copy.deepcopy(per_source))
             rows.append(row)
     return rows
-
-
-# The settings a sweep takes; the scalar ones and the seeds are checked
-# before any work, while another bad value in a list fails only the rows
-# that use it.
-_SWEEP_SCALARS = ("sample_rate", "duration_s", "n_sources", "early_only",
-                  "max_lag")
-_SWEEP_KEYS = ("seeds", "t60", "snr_db", "estimate_error_snr_db",
-               "algorithms") + _SWEEP_SCALARS
 
 
 def run_experiment(sweep):
@@ -676,29 +720,38 @@ def run_experiment(sweep):
     the one computed on its own, whatever the order of the algorithms.
     Failures are recorded in every row that depends on them and the sweep
     continues; a failed row is computed again for each estimate error. An
-    unknown key, a bad scalar setting or a bad seed is a ConfigError before
-    any work.
+    unknown key, a bad scalar setting, a list that is not a list or a bad
+    seed is a ConfigError before any work; another bad value in a list
+    fails only the rows that use it.
     """
-    unknown = [k for k in sweep if k not in _SWEEP_KEYS]
+    scalars = [k for k, s in SETTINGS.items() if s.sweep == "scalar"]
+    lists = {s.sweep: k for k, s in SETTINGS.items()
+             if s.sweep not in (None, "scalar", "entry")}
+    keys = scalars + list(lists) + ["algorithms"]
+    unknown = [k for k in sweep if k not in keys]
     if unknown:
         raise ConfigError(f"unknown sweep setting(s) {', '.join(map(repr, unknown))}; "
-                          f"a sweep takes {', '.join(_SWEEP_KEYS)}")
-    for key in _SWEEP_SCALARS:
-        if sweep.get(key) is not None:
-            _check_setting(key, sweep[key])
-    seeds = sweep.get("seeds", [])
-    for seed in seeds:
-        _check_setting("seed", seed)
-    t60s = sweep.get("t60", [0.4])
-    snrs = sweep.get("snr_db", [None])
-    est_errs = sweep.get("estimate_error_snr_db", [None])
+                          f"a sweep takes {', '.join(keys)}")
+    point = {k: sweep[k] for k in scalars if k in sweep}
+    for key in point:
+        _get(point, key)
+    values = {}
+    for key, name in lists.items():  # no seeds: no scenes
+        values[name] = sweep.get(key, [] if key == "seeds"
+                                 else [SETTINGS[name].default])
+        if not isinstance(values[name], list):
+            raise ConfigError(f"{key} must be a list; got {values[name]!r}")
+    for seed in values["seed"]:
+        _get({"seed": seed}, "seed")
     algorithms = _sweep_algorithms(sweep)
 
     rows = []
-    for seed in seeds:
-        for t60 in t60s:
-            for snr_db in snrs:
-                rows += _scene_rows(sweep, seed, t60, snr_db, est_errs, algorithms)
+    for seed in values["seed"]:
+        for t60 in values["t60"]:
+            for snr_db in values["snr_db"]:
+                rows += _scene_rows({**point, "seed": seed, "t60": t60,
+                                     "snr_db": snr_db},
+                                    values["estimate_error_snr_db"], algorithms)
 
     aggregates = {}
     groups = {}
@@ -759,93 +812,57 @@ def _write_csv(result, path):
 
 
 def cmd_experiment(config):
-    sweep_path = config.get("sweep")
+    sweep_path = _get(config, "sweep")
     sweep = load_config(sweep_path) if sweep_path else {
-        k: v for k, v in config.items() if k not in ("sweep", "output", "csv")}
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep config must be a JSON object")
+        k: v for k, v in config.items() if k not in _keys("experiment")}
     result = run_experiment(sweep)
-    if config.get("output"):
-        _write_json(config["output"], result)
-    if config.get("csv"):
-        _write_csv(result, config["csv"])
+    if _get(config, "output"):
+        _write_json(_get(config, "output"), result)
+    if _get(config, "csv"):
+        _write_csv(result, _get(config, "csv"))
     return result
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_pred_flags(p):
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--taps", type=int)
-    p.add_argument("--delay", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--lambda-mode", dest="lambda_mode",
-                   choices=("est_power", "mix_power", "unit"))
-    p.add_argument("--diag-load", dest="diag_load", type=float)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--passes", type=int)
+# Each command's help line and function.
+_COMMANDS = {
+    "simulate": ("render a synthetic scene to WAV files", cmd_simulate),
+    "dereverb": ("dereverberate a mixture WAV", cmd_dereverb),
+    "evaluate": ("compute metrics for an estimate/reference pair", cmd_evaluate),
+    "experiment": ("run a sweep described by a JSON config", cmd_experiment),
+}
 
 
 def build_parser():
+    """One subcommand per command, one flag per setting it takes (SETTINGS),
+    and --config for a JSON file of settings unless a setting takes it."""
     parser = argparse.ArgumentParser(
         prog="dereverb",
         description="Monaural dereverberation toolkit: simulate scenes, run "
                     "WPE/ICP/FCP, evaluate, and sweep experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="render a synthetic scene to WAV files")
-    p.add_argument("--config")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--t60", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--n-sources", dest="n_sources", type=int)
-    p.add_argument("--early-only", dest="early_only", action="store_const", const=True)
-    p.add_argument("--encoding", choices=("float32", "pcm16"))
-
-    p = sub.add_parser("dereverb", help="dereverberate a mixture WAV")
-    p.add_argument("--config")
-    p.add_argument("--mixture")
-    p.add_argument("--reference", action="append")
-    p.add_argument("--estimate", action="append")
-    p.add_argument("--estimate-mode", dest="estimate_mode",
-                   choices=("oracle", "degraded", "external"))
-    p.add_argument("--estimate-error-snr-db", dest="estimate_error_snr_db", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output")
-    p.add_argument("--report")
-    p.add_argument("--encoding", choices=("float32", "pcm16"))
-    p.add_argument("--max-lag", dest="max_lag", type=int)
-    _add_pred_flags(p)
-
-    p = sub.add_parser("evaluate", help="compute metrics for an estimate/reference pair")
-    p.add_argument("--config")
-    p.add_argument("--estimate")
-    p.add_argument("--reference")
-    p.add_argument("--max-lag", dest="max_lag", type=int)
-    p.add_argument("--report")
-
-    p = sub.add_parser("experiment", help="run a sweep described by a JSON config")
-    p.add_argument("--config", dest="sweep")
-    p.add_argument("--output")
-    p.add_argument("--csv")
-
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        keys = _keys(command)
+        if all(SETTINGS[k].flag != "--config" for k in keys):
+            p.add_argument("--config")
+        for key in keys:
+            spec = SETTINGS[key]
+            flag = spec.flag if spec.flag is not None else (
+                "--" + key.replace("_", "-"))
+            if not flag:
+                continue
+            if spec.kind is bool:  # the flag stores true
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            elif command in spec.many.split():
+                p.add_argument(flag, dest=key, action="append")
+            elif spec.kind is str:
+                p.add_argument(flag, dest=key, choices=spec.choices or None)
+            else:
+                p.add_argument(flag, dest=key, type=spec.kind)
     return parser
-
-
-_COMMAND_KEYS = {
-    "simulate": ("out_dir", "sample_rate", "duration_s", "seed", "t60",
-                 "snr_db", "n_sources", "early_only", "normalize", "encoding"),
-    "dereverb": ("mixture", "reference", "estimate", "estimate_mode",
-                 "estimate_error_snr_db", "seed", "output", "report",
-                 "encoding", "max_lag", "algorithm", "taps", "delay", "eps",
-                 "lambda_mode", "diag_load", "iters", "passes"),
-    "evaluate": ("estimate", "reference", "max_lag", "report"),
-    "experiment": ("sweep", "output", "csv"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -877,22 +894,11 @@ def _one_blas_thread():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with _one_blas_thread():
         try:
-            if args.command == "experiment":
-                config = {k: getattr(args, k, None)
-                          for k in _COMMAND_KEYS["experiment"]}
-                result = cmd_experiment(config)
-            else:
-                config = _merge_config(args, _COMMAND_KEYS[args.command])
-                if args.command == "simulate":
-                    result = cmd_simulate(config)
-                elif args.command == "dereverb":
-                    result = cmd_dereverb(config)
-                else:
-                    result = cmd_evaluate(config)
+            config = _merge_config(args, args.command)
+            result = _COMMANDS[args.command][1](config)
             if not (args.command == "experiment" and config.get("output")):
                 json.dump(result, sys.stdout, indent=2, sort_keys=True)
                 sys.stdout.write("\n")

@@ -34,6 +34,9 @@ from .stft import ComplexSpectrogram
 
 _log = logging.getLogger(__name__)
 
+# The weighting sources of PredConfig.lambda_mode.
+LAMBDA_MODES = ("est_power", "mix_power", "unit")
+
 
 @dataclass(frozen=True)
 class PredConfig:
@@ -59,7 +62,7 @@ class PredConfig:
             raise ValueError("delay must be >= 0")
         if not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must be in (0, 1]")
-        if self.lambda_mode not in ("est_power", "mix_power", "unit"):
+        if self.lambda_mode not in LAMBDA_MODES:
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.diag_load < 0:
             raise ValueError("diag_load must be >= 0")

@@ -13,7 +13,7 @@ share a reference, so each further pair takes 3 FFTs.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_toeplitz, toeplitz
@@ -165,17 +165,13 @@ class MetricsReport:
     si_sdr: float
     sdr_512: float
     gcc_phat_delay: int
-    per_source: tuple = field(default_factory=tuple)
 
     def to_dict(self):
-        d = {
+        return {
             "si_sdr_db": self.si_sdr,
             "sdr_512_db": self.sdr_512,
             "gcc_phat_delay": self.gcc_phat_delay,
         }
-        if self.per_source:
-            d["per_source"] = [m.to_dict() for m in self.per_source]
-        return d
 
 
 class Reference:

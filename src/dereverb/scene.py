@@ -154,9 +154,11 @@ def gen_rir(spec):
     if tail_start < spec.rir_len:
         offsets = np.arange(tail_start, spec.rir_len) - peak
         env = np.exp(-decay * offsets / fs)
-        # unit tail energy relative to the direct tap, in expectation
-        sigma = abs(spec.direct_gain) / math.sqrt(np.sum(env ** 2))
-        taps[tail_start:] = sigma * env * rng.standard_normal(offsets.size)
+        energy = np.sum(env ** 2)
+        if energy > 0:  # 0: the envelope underflows (t60 below ~1 ms), no tail
+            # unit tail energy relative to the direct tap, in expectation
+            sigma = abs(spec.direct_gain) / math.sqrt(energy)
+            taps[tail_start:] = sigma * env * rng.standard_normal(offsets.size)
 
     return Rir(taps, peak, early_len, sample_rate=fs)
 

@@ -6,6 +6,8 @@ import numpy as np
 from scipy.io import wavfile
 
 _PCM16_SCALE = 32768.0
+# The sample encodings write_wav takes.
+ENCODINGS = ("float32", "pcm16")
 
 
 def read_wav(path):

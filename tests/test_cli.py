@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,8 +10,11 @@ import sys
 import threading
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from dereverb import (StftConfig, analyze, cli, convpred, read_wav, si_sdr,
@@ -623,6 +628,210 @@ def test_simulate_config_takes_normalize(scene_dir, tmp_path, capsys):
     assert rc == EXIT_OK and json.loads(out)["scale"] == 1.0
 
 
+@pytest.mark.parametrize("command, settings, flags, named", [
+    ("simulate", {}, ("--snr-db", "1e308"), "snr_db must be <= 300"),
+    ("simulate", {"snr_db": -1e308}, (), "snr_db must be >= -300"),
+    ("dereverb", {}, ("--estimate-mode", "degraded",
+                      "--estimate-error-snr-db", "1e308"),
+     "estimate_error_snr_db must be <= 300"),
+    ("simulate", {}, ("--t60", "1e6"), "t60 must be <= 10"),
+    ("simulate", {}, ("--seed", "-1"), "seed must be >= 0"),
+    ("dereverb", {}, ("--estimate-mode", "degraded", "--seed", "-1",
+                      "--estimate-error-snr-db", "10"), "seed must be >= 0"),
+    ("simulate", {}, ("--duration-s", "1e-5"), "duration_s must give at least"),
+    ("simulate", {"duration_s": 1 / 8000}, (), "duration_s must give at least"),
+    ("simulate", {"n_sources": 1e308}, (), "n_sources must be <= 16"),
+    ("dereverb", {"taps": 1e11}, (), "taps must be <= 256"),
+    ("dereverb", {"passes": 1e308}, (), "passes must be <= 100"),
+    ("experiment", {"seeds": [0, -1]}, (), "seed must be >= 0"),
+])
+def test_setting_out_of_range_is_config_error(
+        scene_dir, tmp_path, capsys, command, settings, flags, named):
+    """Values that overflowed, asked for a 60 GiB RIR or blamed numpy exit 2
+    naming the setting before any work."""
+    rc, out, err = _run_with_config(command, settings, scene_dir, tmp_path,
+                                    capsys, flags)
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: {named}")
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"t60": 0.3}, "t60 must be a list"),
+    ({"seeds": 0}, "seeds must be a list"),
+    ({"estimate_error_snr_db": None}, "estimate_error_snr_db must be a list"),
+    ({"algorithms": "fcp"}, "algorithms must be a list"),
+    ({"algorithms": [["fcp"]]}, "an algorithm entry must be a name or an object"),
+])
+def test_sweep_value_of_the_wrong_shape_is_config_error(settings, named):
+    with pytest.raises(cli.ConfigError) as exc:
+        run_experiment(small_sweep(**settings))
+    assert str(exc.value).startswith(named)
+
+
+def test_evaluate_max_lag_out_of_range_names_it(duo_1s, capsys):
+    rc = main(["evaluate", "--estimate", str(duo_1s / "y.wav"),
+               "--reference", str(duo_1s / "s0.wav"), "--max-lag", "40000"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: max_lag must be in [1, 4000] for 8000-sample signals")
+
+
+def _readme_row(name, spec):
+    pred = name in {f.name for f in dataclasses.fields(convpred.PredConfig)}
+    default = ("per algorithm" if pred and spec.default is None
+               else f"`{json.dumps(spec.default)}`")
+    low, high = spec.bounds
+    if spec.choices:
+        allowed = ", ".join(f"`{c}`" for c in spec.choices)
+    elif low is not None and high is not None:
+        allowed = f"[{low:g}, {high:g}]"
+    elif low is not None:
+        allowed = f">= {low:g}"
+    else:
+        allowed = "" if high is None else f"<= {high:g}"
+    sweep = {None: "", "scalar": "one value", "entry": "algorithm entry"}.get(
+        spec.sweep, f"list `{spec.sweep}`")
+    return (f"| `{name}` | {spec.kind.__name__} | {default} | {allowed} | "
+            f"{spec.commands.replace(' ', ', ')} | {sweep} |")
+
+
+def test_readme_settings_table_is_the_settings_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| setting | type | default | allowed | commands | in a sweep |\n"
+    table = readme[readme.index(header):].split("\n\n")[0].splitlines()[2:]
+    assert table == [_readme_row(k, s) for k, s in cli.SETTINGS.items()]
+
+
+def test_prediction_settings_have_the_types_of_pred_config():
+    for field in dataclasses.fields(convpred.PredConfig):
+        assert cli.SETTINGS[field.name].kind is field.type
+        assert cli.SETTINGS[field.name].default is None  # the algorithm's
+
+
+# values that are wrong for most settings: types, nulls, non-finite and
+# extreme numbers, negative ones and strings
+_ODD = [None, True, False, [1], {"a": 1}, math.nan, math.inf, -math.inf, 1e308,
+        -1e308, -1, 0, 2.5, "0.3"]
+# valid numbers on the 1 s, 8 kHz, 2-source scene of duo_1s
+_VALID = {
+    "sample_rate": [8000, 16000], "duration_s": [0.5, 1.0], "seed": [0, 3],
+    "t60": [0.0, 1e-4, 0.3, 10], "snr_db": [20.0, -300, 300],
+    "n_sources": [1, 2, 16], "early_only": [True, False],
+    "normalize": [True, False], "estimate_error_snr_db": [10, -300, 300],
+    "max_lag": [1, 512, 4000], "taps": [1, 8], "delay": [0, 1, 3],
+    "eps": [1e-3, 1.0], "diag_load": [0, 1e3], "iters": [1, 2], "passes": [1, 2],
+}
+
+
+@pytest.fixture(scope="module")
+def odd_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("odd")
+
+
+def _values(command, name, duo, out):
+    """(valid, odd) values of setting ``name`` of ``command``. A path is an
+    input of ``duo`` or a missing one, or an output under ``out``; an odd
+    path is no string, so that nothing is written elsewhere."""
+    spec = cli.SETTINGS[name]
+    if spec.kind is not str:
+        return _VALID[name], _ODD
+    if spec.choices:
+        return list(spec.choices), _ODD + ["bogus"]
+    inputs = [str(duo / f) for f in ("y.wav", "s0.wav", "s1.wav")]
+    valid = {"out_dir": [str(out / "sim")], "output": [str(out / "o.wav")],
+             "report": [str(out / "r.json")]}.get(
+        name, inputs + [str(out / "missing.wav")])
+    if command in spec.many.split():
+        valid = valid + [inputs[1:]]
+    return valid, [v for v in _ODD if not isinstance(v, str)]
+
+
+def _quiet_main(directory, argv):
+    """main(argv) run in ``directory`` (a null out_dir writes to the current
+    one), its output discarded."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("command", ["simulate", "dereverb", "evaluate"])
+@hypothesis.settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_config_exits_with_a_documented_code(duo_1s, odd_dir, command, data):
+    """main on a config drawn from SETTINGS returns 0, 2, 3 or 4: valid
+    values for some settings, then odd ones or an unknown key for up to
+    three."""
+    config = {"simulate": {"out_dir": str(odd_dir / "sim"), "sample_rate": 8000,
+                           "duration_s": 1.0},
+              "dereverb": {"mixture": str(duo_1s / "y.wav"),
+                           "reference": str(duo_1s / "s0.wav")},
+              "evaluate": {"estimate": str(duo_1s / "y.wav"),
+                           "reference": str(duo_1s / "s0.wav")}}[command]
+    values = {k: _values(command, k, duo_1s, odd_dir) for k in cli._keys(command)}
+    config.update(data.draw(st.fixed_dictionaries({}, optional={
+        k: st.sampled_from(valid) for k, (valid, _) in values.items()})))
+    for key in data.draw(st.lists(st.sampled_from([*values, "tapz"]),
+                                  max_size=3, unique=True)):
+        config[key] = data.draw(st.sampled_from(values.get(key, (0, [3]))[1]))
+    path = odd_dir / f"{command}.json"
+    path.write_text(json.dumps(config))
+    rc = _quiet_main(odd_dir, [command, "--config", str(path)])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_sweep_exits_with_a_documented_code(duo_1s, odd_dir, data):
+    """experiment on a 0.25 s sweep drawn from SETTINGS returns 0, 2, 3 or 4:
+    valid values for some settings, lists and algorithm entries, then odd
+    ones for up to two."""
+    short = {"duration_s": [0.25], "max_lag": [1, 512, 1000], "n_sources": [1, 2]}
+    values = {k: _values("experiment", k, duo_1s, odd_dir)
+              for k, s in cli.SETTINGS.items() if s.sweep or k == "algorithm"}
+    valid = {k: st.sampled_from(short.get(k, v)) for k, (v, _) in values.items()}
+    odd = {k: st.sampled_from(o) for k, (_, o) in values.items()}
+    either = {k: st.one_of(valid[k], odd[k]) for k in values}
+    scalars = [k for k, s in cli.SETTINGS.items() if s.sweep == "scalar"]
+    lists = {s.sweep: k for k, s in cli.SETTINGS.items()
+             if s.sweep not in (None, "scalar", "entry")}
+    entries = [k for k, s in cli.SETTINGS.items() if s.sweep == "entry"]
+
+    def entry(settings):
+        return st.one_of(valid["algorithm"], st.fixed_dictionaries(
+            {"name": valid["algorithm"]},
+            optional={k: settings[k] for k in entries}))
+
+    sweep = {"seeds": [0], "sample_rate": 8000, "duration_s": 0.25,
+             "algorithms": ["fcp"]}
+    sweep.update(data.draw(st.fixed_dictionaries({}, optional={
+        **{k: valid[k] for k in scalars},
+        **{key: st.lists(valid[k], min_size=1, max_size=2)
+           for key, k in lists.items()},
+        "algorithms": st.lists(entry(valid), min_size=1, max_size=2)})))
+    for key in data.draw(st.lists(st.sampled_from([*scalars, *lists, "algorithms"]),
+                                  max_size=2, unique=True)):
+        if key in scalars:
+            sweep[key] = data.draw(odd[key])
+        elif key in lists:
+            sweep[key] = data.draw(st.one_of(
+                odd[lists[key]], st.lists(either[lists[key]], min_size=1, max_size=2)))
+        else:
+            sweep[key] = data.draw(st.one_of(
+                odd["algorithm"],
+                st.lists(st.one_of(entry(either), odd["algorithm"]), max_size=2)))
+    path = odd_dir / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    rc = _quiet_main(odd_dir, ["experiment", "--config", str(path),
+                               "--output", str(odd_dir / "sweep_out.json")])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC)
+
+
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
 from dereverb.cli import main
@@ -919,6 +1128,36 @@ def test_sweep_failed_row_is_computed_for_each_estimate_error(monkeypatch):
     assert [r["error"] for r in rows] == [error, None] * 2
     # the failing entry runs for each estimate error, the other one once
     assert runs == ["wpe_vanilla"] * 3
+
+
+@pytest.mark.parametrize("key, good, bad", [
+    ("t60", [0.3], [True, "0.3", math.nan, 1e6]),
+    ("snr_db", [None], [True, "0.3", math.inf, 1e308]),
+    ("estimate_error_snr_db", [None, 10.0], [True, "0.3", -math.inf, -1e308]),
+])
+def test_sweep_list_value_fails_only_the_rows_that_use_it(key, good, bad):
+    """A bad t60 or snr_db fails the rows of its scene and a bad estimate
+    error the rows that read the estimate, naming the setting; every other
+    row is the row of the sweep without the bad values."""
+    sweep = small_sweep(seeds=[0], algorithms=["wpe_vanilla", "fcp"])
+    clean = run_experiment({**sweep, key: good})["rows"]
+    values = good[:1] + bad + good[1:]
+    rows = run_experiment({**sweep, key: values})["rows"]
+    assert len(rows) == 2 * len(values)
+    for i, value in enumerate(values):
+        block = rows[2 * i:2 * i + 2]
+        if value in bad:
+            reads = [key != "estimate_error_snr_db", True]  # wpe_vanilla, fcp
+            for row, fails in zip(block, reads):
+                assert (row["error"] or "").startswith(f"{key} ") == fails
+                assert (row["metrics"] is None) == fails
+            value = good[0]  # the rows that do not fail are those of good[0]
+            block = [r for r, fails in zip(block, reads) if not fails]
+        j = good.index(value)
+        expected = [{**r, key: rows[2 * i][key]} for r in clean[2 * j:2 * j + 2]
+                    if any(r["algorithm"] == b["algorithm"] for b in block)]
+        assert json.dumps(block, sort_keys=True) == json.dumps(expected,
+                                                               sort_keys=True)
 
 
 def test_sweep_entry_with_ignored_setting_is_row_error():

@@ -37,6 +37,14 @@ def test_tail_decays_60db_over_t60():
     assert abs(slope * t60 + 60.0) < 3.0
 
 
+def test_tail_that_underflows_is_silent():
+    """Below ~1 ms the decay envelope underflows to zero: the tail is silent
+    rather than 0/0, and the direct tap is kept."""
+    rir = gen_rir(RirSpec(8000, t60=1e-4, direct_delay=24, seed=1))
+    assert np.all(np.isfinite(rir.taps)) and rir.taps[24] == 1.0
+    assert not np.any(rir.taps[rir.peak_index + rir.early_len + 1:])
+
+
 def test_gen_rir_deterministic():
     spec = RirSpec(8000, t60=0.4, direct_delay=24, seed=7)
     np.testing.assert_array_equal(gen_rir(spec).taps, gen_rir(spec).taps)
