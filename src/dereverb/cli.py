@@ -124,11 +124,11 @@ _DB = (-metrics.DB_CAP, metrics.DB_CAP)
 SETTINGS = {
     # scenes: simulate, and each scene of a sweep
     "sample_rate": Setting(int, 16000, "simulate", SUPPORTED_RATES, sweep="scalar"),
-    "duration_s": Setting(float, 4.0, "simulate", bounds=(0, 600), sweep="scalar"),
+    "duration_s": Setting(float, 4.0, "simulate", sweep="scalar"),
     "seed": Setting(int, 0, "simulate dereverb", bounds=(0, None), sweep="seeds"),
     "t60": Setting(float, 0.4, "simulate", bounds=(0, 10), sweep="t60"),
     "snr_db": Setting(float, None, "simulate", bounds=_DB, sweep="snr_db"),
-    "n_sources": Setting(int, 1, "simulate", bounds=(1, 16), sweep="scalar"),
+    "n_sources": Setting(int, 1, "simulate", bounds=(1, None), sweep="scalar"),
     "early_only": Setting(bool, False, "simulate", sweep="scalar"),
     "normalize": Setting(bool, True, "simulate", flag=""),
     # files
@@ -149,16 +149,17 @@ SETTINGS = {
     # max_lag lies in [1, n // 2] for n-sample signals (_max_lag)
     "max_lag": Setting(int, 512, "dereverb evaluate", sweep="scalar"),
     # prediction: ALGORITHMS decides which of these apply, and the defaults
-    "algorithm": Setting(str, "fcp", "dereverb", tuple(ALGORITHMS)),
-    "taps": Setting(int, None, "dereverb", bounds=(1, 256), sweep="entry"),
-    "delay": Setting(int, None, "dereverb", bounds=(0, 256), sweep="entry"),
+    "algorithm": Setting(str, "fcp", "dereverb", tuple(ALGORITHMS), sweep="algorithms"),
+    # taps + delay is at most the mixture's frame count (run_algorithm)
+    "taps": Setting(int, None, "dereverb", bounds=(1, None), sweep="entry"),
+    "delay": Setting(int, None, "dereverb", bounds=(0, None), sweep="entry"),
     # eps lies in (0, 1] (PredConfig)
     "eps": Setting(float, None, "dereverb", sweep="entry"),
     "lambda_mode": Setting(str, None, "dereverb", convpred.LAMBDA_MODES,
                            sweep="entry"),
     "diag_load": Setting(float, None, "dereverb", bounds=(0, None), sweep="entry"),
-    "iters": Setting(int, None, "dereverb", bounds=(1, 100), sweep="entry"),
-    "passes": Setting(int, 1, "dereverb", bounds=(1, 100), sweep="entry"),
+    "iters": Setting(int, None, "dereverb", bounds=(1, None), sweep="entry"),
+    "passes": Setting(int, 1, "dereverb", bounds=(1, None), sweep="entry"),
 }
 
 
@@ -167,15 +168,15 @@ def _keys(command):
     return [k for k, s in SETTINGS.items() if command in s.commands.split()]
 
 
-def _get(config, name):
+def _get(config, name, command=None):
     """Setting ``name`` of ``config``, checked against its SETTINGS entry.
 
     An absent or null value is the default. Any other must be of the
     setting's type: true or false for a flag and for no other setting, a
-    string (or, where a flag appends, a list of strings), or a finite
-    number that an integer setting does not truncate (2.7 is not 2); and
-    among the setting's choices or within its bounds. Raises a ConfigError
-    naming the setting otherwise.
+    string (or, where the flag of ``command`` appends, a list of strings),
+    or a finite number that an integer setting does not truncate (2.7 is
+    not 2); and among the setting's choices or within its bounds. Raises a
+    ConfigError naming the setting otherwise.
     """
     spec = SETTINGS[name]
     val = config.get(name)
@@ -187,8 +188,8 @@ def _get(config, name):
         if not isinstance(val, bool):
             raise ConfigError(f"{name} must be true or false; got {val!r}")
     elif spec.kind is str:
-        if not (isinstance(val, str) or spec.many and isinstance(val, list)
-                and all(isinstance(v, str) for v in val)):
+        if not (isinstance(val, str) or command in spec.many.split()
+                and isinstance(val, list) and all(isinstance(v, str) for v in val)):
             raise ConfigError(f"{name} must be a string; got {val!r}")
     else:
         try:
@@ -214,6 +215,14 @@ def _get(config, name):
 
 # ---------------------------------------------------------------------------
 # config plumbing
+
+def _algorithm(name):
+    """The ALGORITHMS entry ``name``; a missing name is an error, not the
+    default."""
+    if not (isinstance(name, str) and name in ALGORITHMS):
+        raise ConfigError(f"algorithm must be one of {tuple(ALGORITHMS)}; got {name!r}")
+    return ALGORITHMS[name]
+
 
 def _prediction(name, given):
     """The validated PredConfig of algorithm ``name`` with the explicit
@@ -251,8 +260,7 @@ def _merge_config(args, command):
     """defaults < --config file < explicit flags.
 
     A file key ``command`` does not take is an error and a ``null`` value
-    means the default. Every other value must pass ``_get``, and be a
-    single value unless the command's flag appends.
+    means the default. Every other value must pass ``_get``.
     """
     keys = _keys(command)
     config = {}
@@ -268,10 +276,8 @@ def _merge_config(args, command):
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
-    for key, val in config.items():
-        _get(config, key)
-        if isinstance(val, list) and command not in SETTINGS[key].many.split():
-            raise ConfigError(f"{key} must be a string; got {val!r}")
+    for key in config:
+        _get(config, key, command)
     return config
 
 
@@ -287,13 +293,20 @@ def _check_finite(x, what):
 def _build_scene(config):
     fs = _get(config, "sample_rate")
     duration = _get(config, "duration_s")
+    # rounds to 2 samples or more (a source has a mean and a deviation), and
+    # to no more than numpy can index
+    if not 1.5 <= duration * fs <= sys.maxsize:
+        raise ConfigError(f"duration_s must give at least 2 samples at {fs} Hz, "
+                          f"and at most {sys.maxsize}; got {duration}")
     n = round(duration * fs)
-    if n < 2:  # a source has a mean and a deviation
-        raise ConfigError(f"duration_s must give at least 2 samples at {fs} Hz; "
-                          f"got {duration}")
     seed = _get(config, "seed")
     t60 = _get(config, "t60")
     n_sources = _get(config, "n_sources")
+    # source c's direct path arrives 3 + 4c ms in, on sample n - 1 at the
+    # latest (a lone source always renders)
+    most = max(1, math.floor(((n - 1) / fs - 0.003) / 0.004) + 1)
+    if n_sources > most:
+        raise ConfigError(f"n_sources must be <= {most} for a {duration} s scene")
     snr_db = _get(config, "snr_db")
     early_only = _get(config, "early_only")
 
@@ -400,7 +413,7 @@ def _build_estimates(config, refs, cfg, n_samples, algo):
     estimates are all loaded and checked, read or not."""
     mode = _get(config, "estimate_mode")
     if mode == "external":
-        paths = _get(config, "estimate")
+        paths = _get(config, "estimate", "dereverb")
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
         signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
@@ -429,7 +442,7 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
     Returns:
         list of T x F output arrays.
     """
-    algo = ALGORITHMS[_get({"algorithm": name}, "algorithm")]
+    algo = _algorithm(name)
     passes = _get({"passes": passes}, "passes")
     if passes > 1 and not algo.multi_pass:
         raise ConfigError(f"passes > 1 applies to single-estimate algorithms, "
@@ -438,6 +451,9 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
         raise ConfigError("passes > 1 needs the mixture sample count")
     if algo.reads_estimate and not ests:
         raise ConfigError(f"algorithm {name!r} needs a target estimate")
+    frames = mix_spec.data.shape[0]  # a later tap never sees a frame
+    if pred.taps + pred.delay > frames:
+        raise ConfigError(f"taps + delay must be <= {frames}, the frame count")
     outputs = algo.run(mix_spec.data, ests, pred)
     for _ in range(passes - 1):  # the last pass's output is never fed back
         ests = [analyze(synthesize(mix_spec.with_data(outputs[0]), n_samples),
@@ -498,9 +514,10 @@ def _max_lag(config, n_samples):
 
 
 def _write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if path:  # else the setting that names the file is unset
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def cmd_dereverb(config):
@@ -513,7 +530,7 @@ def cmd_dereverb(config):
              if config.get(f.name) is not None}
     pred, applied = _prediction(name, given)
     passes = _get(config, "passes")
-    ref_paths = _get(config, "reference")
+    ref_paths = _get(config, "reference", "dereverb")
     if config.get("max_lag") is not None and not ref_paths:
         raise ConfigError("max_lag sets the lag range of the metrics, which "
                           "need --reference signals")
@@ -566,8 +583,7 @@ def cmd_dereverb(config):
     }
     if refs:
         report["metrics"] = _Scores(mixture, refs).per_source(outputs, max_lag)
-    if _get(config, "report"):
-        _write_json(_get(config, "report"), report)
+    _write_json(_get(config, "report"), report)
     return report
 
 
@@ -584,20 +600,16 @@ def cmd_evaluate(config):
     scores = metrics.evaluate_pair(est[0], ref[0], _max_lag(config, est[0].size))
     report = {"schema_version": SCHEMA_VERSION, "sample_rate": fs,
               **scores.to_dict()}
-    if _get(config, "report"):
-        _write_json(_get(config, "report"), report)
+    _write_json(_get(config, "report"), report)
     return report
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
-def _sweep_algorithms(sweep):
+def _sweep_algorithms(entries):
     """(name, explicit settings, entry, row settings) per algorithm entry.
     Row settings are the applied ones (the given ones if invalid) and passes."""
-    entries = sweep.get("algorithms", [SETTINGS["algorithm"].default])
-    if not isinstance(entries, list):
-        raise ConfigError(f"algorithms must be a list; got {entries!r}")
     out = []
     for entry in entries:
         if isinstance(entry, str):
@@ -605,8 +617,8 @@ def _sweep_algorithms(sweep):
         if not isinstance(entry, dict):
             raise ConfigError(f"an algorithm entry must be a name or an "
                               f"object; got {entry!r}")
-        # an unknown name fails the whole sweep
-        name = _get({"algorithm": entry.get("name")}, "algorithm")
+        name = entry.get("name")
+        _algorithm(name)  # an unknown or missing name fails the whole sweep
         given = {k: v for k, v in entry.items() if k not in ("name", "passes")}
         try:
             settings = _prediction(name, given)[1]
@@ -727,7 +739,7 @@ def run_experiment(sweep):
     scalars = [k for k, s in SETTINGS.items() if s.sweep == "scalar"]
     lists = {s.sweep: k for k, s in SETTINGS.items()
              if s.sweep not in (None, "scalar", "entry")}
-    keys = scalars + list(lists) + ["algorithms"]
+    keys = scalars + list(lists)
     unknown = [k for k in sweep if k not in keys]
     if unknown:
         raise ConfigError(f"unknown sweep setting(s) {', '.join(map(repr, unknown))}; "
@@ -743,7 +755,7 @@ def run_experiment(sweep):
             raise ConfigError(f"{key} must be a list; got {values[name]!r}")
     for seed in values["seed"]:
         _get({"seed": seed}, "seed")
-    algorithms = _sweep_algorithms(sweep)
+    algorithms = _sweep_algorithms(values["algorithm"])
 
     rows = []
     for seed in values["seed"]:
@@ -816,8 +828,7 @@ def cmd_experiment(config):
     sweep = load_config(sweep_path) if sweep_path else {
         k: v for k, v in config.items() if k not in _keys("experiment")}
     result = run_experiment(sweep)
-    if _get(config, "output"):
-        _write_json(_get(config, "output"), result)
+    _write_json(_get(config, "output"), result)
     if _get(config, "csv"):
         _write_csv(result, _get(config, "csv"))
     return result

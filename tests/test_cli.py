@@ -640,9 +640,12 @@ def test_simulate_config_takes_normalize(scene_dir, tmp_path, capsys):
                       "--estimate-error-snr-db", "10"), "seed must be >= 0"),
     ("simulate", {}, ("--duration-s", "1e-5"), "duration_s must give at least"),
     ("simulate", {"duration_s": 1 / 8000}, (), "duration_s must give at least"),
-    ("simulate", {"n_sources": 1e308}, (), "n_sources must be <= 16"),
-    ("dereverb", {"taps": 1e11}, (), "taps must be <= 256"),
-    ("dereverb", {"passes": 1e308}, (), "passes must be <= 100"),
+    ("simulate", {"duration_s": 1e308}, (), "duration_s must give at least"),
+    ("simulate", {"n_sources": 1e308}, (), "n_sources must be <= 250 for a 1.0 s"),
+    ("simulate", {"n_sources": 251}, (), "n_sources must be <= 250 for a 1.0 s"),
+    ("dereverb", {"taps": 1e11}, (), "taps + delay must be <= 253"),
+    ("dereverb", {"algorithm": "wpe_supplied", "taps": 251, "delay": 3}, (),
+     "taps + delay must be <= 253"),
     ("experiment", {"seeds": [0, -1]}, (), "seed must be >= 0"),
 ])
 def test_setting_out_of_range_is_config_error(
@@ -662,6 +665,9 @@ def test_setting_out_of_range_is_config_error(
     ({"estimate_error_snr_db": None}, "estimate_error_snr_db must be a list"),
     ({"algorithms": "fcp"}, "algorithms must be a list"),
     ({"algorithms": [["fcp"]]}, "an algorithm entry must be a name or an object"),
+    ({"algorithms": [{"taps": 37}]}, "algorithm must be one of"),
+    ({"algorithms": [{}]}, "algorithm must be one of"),
+    ({"algorithms": ["fcp", {"name": None}]}, "algorithm must be one of"),
 ])
 def test_sweep_value_of_the_wrong_shape_is_config_error(settings, named):
     with pytest.raises(cli.ConfigError) as exc:
@@ -675,6 +681,18 @@ def test_evaluate_max_lag_out_of_range_names_it(duo_1s, capsys):
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         "config error: max_lag must be in [1, 4000] for 8000-sample signals")
+
+
+def test_library_calls_check_the_algorithm_and_the_paths(scene_dir):
+    """A missing algorithm name is no default, and evaluate takes one path
+    of each kind."""
+    y, fs = read_wav(scene_dir / "y.wav")
+    mix = analyze(y, StftConfig.for_rate(fs))
+    with pytest.raises(cli.ConfigError, match="^algorithm must be one of"):
+        cli.run_algorithm(None, convpred.PredConfig.for_fcp(), mix, [mix.data])
+    with pytest.raises(cli.ConfigError, match="^reference must be a string"):
+        cli.cmd_evaluate({"estimate": str(scene_dir / "y.wav"),
+                          "reference": [str(scene_dir / "s.wav")]})
 
 
 def _readme_row(name, spec):
@@ -713,6 +731,9 @@ def test_prediction_settings_have_the_types_of_pred_config():
 # extreme numbers, negative ones and strings
 _ODD = [None, True, False, [1], {"a": 1}, math.nan, math.inf, -math.inf, 1e308,
         -1e308, -1, 0, 2.5, "0.3"]
+# settings that count work: a huge count is a run that does not end, by
+# request, so their odd values leave out 1e308
+_COUNTS = ("iters", "passes")
 # valid numbers on the 1 s, 8 kHz, 2-source scene of duo_1s
 _VALID = {
     "sample_rate": [8000, 16000], "duration_s": [0.5, 1.0], "seed": [0, 3],
@@ -735,7 +756,8 @@ def _values(command, name, duo, out):
     path is no string, so that nothing is written elsewhere."""
     spec = cli.SETTINGS[name]
     if spec.kind is not str:
-        return _VALID[name], _ODD
+        return _VALID[name], [v for v in _ODD
+                              if not (name in _COUNTS and v == 1e308)]
     if spec.choices:
         return list(spec.choices), _ODD + ["bogus"]
     inputs = [str(duo / f) for f in ("y.wav", "s0.wav", "s1.wav")]
@@ -788,18 +810,18 @@ def test_any_config_exits_with_a_documented_code(duo_1s, odd_dir, command, data)
 @hypothesis.settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_any_sweep_exits_with_a_documented_code(duo_1s, odd_dir, data):
-    """experiment on a 0.25 s sweep drawn from SETTINGS returns 0, 2, 3 or 4:
+    """experiment on a 0.5 s sweep drawn from SETTINGS returns 0, 2, 3 or 4:
     valid values for some settings, lists and algorithm entries, then odd
     ones for up to two."""
-    short = {"duration_s": [0.25], "max_lag": [1, 512, 1000], "n_sources": [1, 2]}
+    short = {"duration_s": [0.5], "max_lag": [1, 512, 1000], "n_sources": [1, 2]}
     values = {k: _values("experiment", k, duo_1s, odd_dir)
-              for k, s in cli.SETTINGS.items() if s.sweep or k == "algorithm"}
+              for k, s in cli.SETTINGS.items() if s.sweep}
     valid = {k: st.sampled_from(short.get(k, v)) for k, (v, _) in values.items()}
     odd = {k: st.sampled_from(o) for k, (_, o) in values.items()}
     either = {k: st.one_of(valid[k], odd[k]) for k in values}
     scalars = [k for k, s in cli.SETTINGS.items() if s.sweep == "scalar"]
     lists = {s.sweep: k for k, s in cli.SETTINGS.items()
-             if s.sweep not in (None, "scalar", "entry")}
+             if s.sweep not in (None, "scalar", "entry", "algorithms")}
     entries = [k for k, s in cli.SETTINGS.items() if s.sweep == "entry"]
 
     def entry(settings):
@@ -807,7 +829,7 @@ def test_any_sweep_exits_with_a_documented_code(duo_1s, odd_dir, data):
             {"name": valid["algorithm"]},
             optional={k: settings[k] for k in entries}))
 
-    sweep = {"seeds": [0], "sample_rate": 8000, "duration_s": 0.25,
+    sweep = {"seeds": [0], "sample_rate": 8000, "duration_s": 0.5,
              "algorithms": ["fcp"]}
     sweep.update(data.draw(st.fixed_dictionaries({}, optional={
         **{k: valid[k] for k in scalars},
