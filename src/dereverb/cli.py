@@ -28,8 +28,8 @@ import numpy as np
 
 from . import convpred, metrics
 from ._blas import numpy_openblas as _numpy_openblas
-from .scene import (RirSpec, degrade, gen_rir, render_scene, strip_late,
-                    synth_speech)
+from .scene import (RirSpec, gen_rir, render_scene, strip_late, synth_speech,
+                    target_estimates)
 from .stft import SUPPORTED_RATES, StftConfig, analyze, synthesize
 from .wavio import ENCODINGS, read_wav, write_wav
 
@@ -51,10 +51,15 @@ class Algorithm(NamedTuple):
                            # rejected, never echoed and then ignored
     reads_estimate: bool   # False: the target estimates are never read
     multi_pass: bool       # passes > 1 allowed (one estimate in, one out)
-    run: Callable          # (mix_tf, ests, pred) -> list of T x F outputs
-    per_source: str = None  # the single-estimate algorithm run on each ests[c]
-                            # (output c is its output on [ests[c]]); None:
-                            # one output
+    run: Callable = None   # (mix_tf, ests, pred) -> list of T x F outputs
+    per_source: str = None  # instead of run: the single-estimate algorithm
+                            # run on each [ests[c]] for output c
+
+
+def _wpe_weighted_by_estimates(y, ests, p):
+    """One WPE filter weighted by the floored summed power of the estimates."""
+    weights = convpred.lambda_weights(ests, "est_power", p.eps)
+    return [convpred.wpe_supplied(y, weights, p.taps, p.delay, p.diag_load)[0]]
 
 
 # Entries call convpred through the module attribute at call time, so a
@@ -64,31 +69,24 @@ ALGORITHMS = {
         convpred.PredConfig.for_wpe, _WPE + ("iters",), False, False,
         lambda y, ests, p: [convpred.wpe_vanilla(y, p)[0]]),
     "wpe_supplied": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, True,
-        lambda y, ests, p: [convpred.wpe_supplied(
-            y, convpred.lambda_weights(ests[0], "est_power", p.eps),
-            p.taps, p.delay, p.diag_load)[0]]),
+        convpred.PredConfig.for_wpe, _WPE, True, True, _wpe_weighted_by_estimates),
     "icp": Algorithm(
         convpred.PredConfig.for_icp, _CP, True, True,
         lambda y, ests, p: [convpred.icp(y, ests[0], p.taps, eps=p.eps,
                                          diag_load=p.diag_load)[0]]),
+    # plain fcp takes no lambda_mode, so it weights by the mixture's power
     "fcp": Algorithm(
         convpred.PredConfig.for_fcp, _CP, True, True,
-        lambda y, ests, p: [convpred.fcp(y, ests[0], p.taps, eps=p.eps,
-                                         diag_load=p.diag_load)[0]]),
+        lambda y, ests, p: [convpred.fcp(y, ests[0], p.taps, convpred.lambda_weights(
+            ests[0] if p.lambda_mode == "est_power" else y, p.lambda_mode, p.eps),
+            diag_load=p.diag_load)[0]]),
     "fcp_per_source": Algorithm(
         convpred.PredConfig.for_fcp, ("taps", "eps", "lambda_mode", "diag_load"),
-        True, False,
-        lambda y, ests, p: convpred.fcp_per_source(
-            y, ests, p.taps, p.lambda_mode, p.eps, p.diag_load), "fcp"),
+        True, False, per_source="fcp"),
     "wpe_sf": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, False,
-        lambda y, ests, p: [convpred.wpe_multi(
-            y, ests, p.taps, p.delay, p.eps, "sf", p.diag_load)[0]]),
+        convpred.PredConfig.for_wpe, _WPE, True, False, _wpe_weighted_by_estimates),
     "wpe_mf": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, False,
-        lambda y, ests, p: convpred.wpe_multi(
-            y, ests, p.taps, p.delay, p.eps, "mf", p.diag_load)[0], "wpe_supplied"),
+        convpred.PredConfig.for_wpe, _WPE, True, False, per_source="wpe_supplied"),
 }
 _PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
 
@@ -408,31 +406,55 @@ def _estimates_read(algo, n_available):
     return 1 if algo.multi_pass else n_available
 
 
-def _build_estimates(config, refs, cfg, n_samples, algo):
-    """The estimate STFTs ``algo`` reads, and the estimate mode. External
-    estimates are all loaded and checked, read or not."""
+# The estimate settings that each estimate mode applies. An algorithm that
+# reads no estimate applies none of them.
+_ESTIMATE_SETTINGS = {"oracle": ("estimate_mode",),
+                      "degraded": ("estimate_mode", "estimate_error_snr_db", "seed"),
+                      "external": ("estimate_mode", "estimate")}
+
+
+def _check_estimate_settings(config, name):
+    """Reject each explicit estimate setting that algorithm ``name`` does not
+    apply with the configured estimate mode."""
     mode = _get(config, "estimate_mode")
-    if mode == "external":
+    reads = ALGORITHMS[name].reads_estimate
+    applied = _ESTIMATE_SETTINGS[mode] if reads else ()
+    unused = [k for k in ("estimate_mode", "estimate", "estimate_error_snr_db", "seed")
+              if config.get(k) is not None and k not in applied]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} not used by algorithm {name!r}"
+                          + (f" with estimate_mode {mode!r}" if reads
+                             else ", which reads no target estimate"))
+    if mode == "degraded" and reads and config.get("estimate_error_snr_db") is None:
+        raise ConfigError("estimate_mode 'degraded' needs estimate_error_snr_db")
+
+
+def _build_estimates(config, name, refs, cfg, n_samples):
+    """The estimate STFTs algorithm ``name`` reads: estimate i is degraded
+    with seed ``seed + i``. External estimates are all loaded and checked,
+    read or not."""
+    if _get(config, "estimate_mode") == "external":
         paths = _get(config, "estimate", "dereverb")
         if not paths:
             raise ConfigError("estimate_mode 'external' needs estimate path(s)")
         signals, _ = _load_signals(paths, cfg.sample_rate, n_samples, "estimate")
     else:
         signals = refs
-    signals = signals[:_estimates_read(algo, len(signals))]
-    if mode == "degraded":
-        err = _get(config, "estimate_error_snr_db")
-        if err is None:
-            raise ConfigError("estimate_mode 'degraded' needs estimate_error_snr_db")
-        seed = _get(config, "seed")
-        signals = [degrade(r, err, seed + i) for i, r in enumerate(signals)]
-    return [analyze(sig, cfg).data for sig in signals], mode
+    signals = signals[:_estimates_read(ALGORITHMS[name], len(signals))]
+    if ALGORITHMS[name].reads_estimate and not signals:
+        raise ConfigError(
+            f"algorithm {name!r} needs --reference signals (or external estimates)")
+    seed = _get(config, "seed")
+    return target_estimates(signals, cfg, _get(config, "estimate_error_snr_db"),
+                            [seed + i for i in range(len(signals))])
 
 
 def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
-    """Dispatch one algorithm, feeding each pass's output back as the next
-    pass's estimate through a time-domain round trip (so multi-pass runs
-    compose exactly like re-running the tool on its own output).
+    """Run one algorithm on the estimates it reads (the first only for a
+    multi-pass one). A per-source algorithm runs its family once on each
+    estimate. Passes after the first take the previous output, through a
+    time-domain round trip, as their estimate (so multi-pass runs compose
+    exactly like re-running the tool on its own output).
 
     Args:
         mix_spec: mixture ComplexSpectrogram.
@@ -454,12 +476,16 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
     frames = mix_spec.data.shape[0]  # a later tap never sees a frame
     if pred.taps + pred.delay > frames:
         raise ConfigError(f"taps + delay must be <= {frames}, the frame count")
-    outputs = algo.run(mix_spec.data, ests, pred)
-    for _ in range(passes - 1):  # the last pass's output is never fed back
-        ests = [analyze(synthesize(mix_spec.with_data(outputs[0]), n_samples),
-                        mix_spec.config).data]
-        outputs = algo.run(mix_spec.data, ests, pred)
-    return outputs
+    ests = ests[:_estimates_read(algo, len(ests))]
+    if algo.per_source:
+        family = ALGORITHMS[algo.per_source]
+        return [family.run(mix_spec.data, [est], pred)[0] for est in ests]
+    if passes == 1:
+        return algo.run(mix_spec.data, ests, pred)
+    return [convpred.iterate(
+        mix_spec.data, ests[0], lambda y, est: algo.run(y, [est], pred)[0], passes,
+        lambda out: analyze(synthesize(mix_spec.with_data(out), n_samples),
+                            mix_spec.config).data)]
 
 
 def _enhanced(mix_tf, outputs_tf, n_samples):
@@ -529,6 +555,7 @@ def cmd_dereverb(config):
     given = {f.name: config[f.name] for f in _PRED_FIELDS
              if config.get(f.name) is not None}
     pred, applied = _prediction(name, given)
+    _check_estimate_settings(config, name)
     passes = _get(config, "passes")
     ref_paths = _get(config, "reference", "dereverb")
     if config.get("max_lag") is not None and not ref_paths:
@@ -546,14 +573,7 @@ def cmd_dereverb(config):
 
     refs, _ = _load_signals(ref_paths or [], fs, mixture.size, "reference")
 
-    ests = []
-    est_mode = None
-    if ALGORITHMS[name].reads_estimate:
-        if _get(config, "estimate_mode") != "external" and not refs:
-            raise ConfigError(
-                f"algorithm {name!r} needs --reference signals (or external estimates)")
-        ests, est_mode = _build_estimates(config, refs, cfg, mixture.size,
-                                          ALGORITHMS[name])
+    ests = _build_estimates(config, name, refs, cfg, mixture.size)
     n_outputs = _n_outputs(ALGORITHMS[name], ests)
     if refs and len(refs) < n_outputs:
         raise ConfigError(f"algorithm {name!r} writes {n_outputs} outputs and "
@@ -576,7 +596,8 @@ def cmd_dereverb(config):
         "schema_version": SCHEMA_VERSION,
         "algorithm": name,
         "pred": applied,
-        "estimate_mode": est_mode,
+        "estimate_mode": (_get(config, "estimate_mode")
+                          if ALGORITHMS[name].reads_estimate else None),
         "passes": passes,
         "sample_rate": fs,
         "outputs": written,
@@ -632,13 +653,12 @@ def _sweep_algorithms(entries):
 
 def _sweep_estimates(scene, cfg, point, count):
     """Oracle (no estimate error at ``point``) or degraded STFTs of the
-    first ``count`` direct paths."""
-    err = _get(point, "estimate_error_snr_db")
-    if err is None:
-        return [analyze(d, cfg).data for d in scene.direct[:count]]
+    first ``count`` direct paths; direct path c is degraded with seed
+    ``seed + 7919 (c + 1)``."""
     seed = _get(point, "seed")
-    return [analyze(degrade(d, err, seed + 7919 * (c + 1)), cfg).data
-            for c, d in enumerate(scene.direct[:count])]
+    return target_estimates(scene.direct[:count], cfg,
+                            _get(point, "estimate_error_snr_db"),
+                            [seed + 7919 * (c + 1) for c in range(count)])
 
 
 def _sweep_row_metrics(point, name, given, entry, scene, mix_tf, ests, solved,

@@ -1,7 +1,7 @@
 """Per-frequency delayed-stack weighted complex least squares, and the
 prediction algorithms built on it: vanilla WPE, WPE with supplied weights,
-inverse convolutive prediction (ICP), forward convolutive prediction (FCP),
-and their multi-source variants.
+inverse convolutive prediction (ICP) and forward convolutive prediction
+(FCP). A multi-source variant runs one of them once per source estimate.
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
 Frequency bins are solved independently, one GEMM, one Cholesky factor and
@@ -123,12 +123,9 @@ class FilterBank:
 
 
 def _as_tf(x):
-    """Accept a ComplexSpectrogram, TargetEstimate, or bare T x F array."""
+    """Accept a ComplexSpectrogram or a bare T x F array."""
     if isinstance(x, ComplexSpectrogram):
         return x.data
-    spec = getattr(x, "spec", None)
-    if isinstance(spec, ComplexSpectrogram):
-        return spec.data
     arr = np.asarray(x)
     if arr.ndim != 2:
         raise ValueError("expected a T x F complex matrix")
@@ -140,23 +137,27 @@ def lambda_weights(ref_spec, mode, eps):
 
     For 'est_power' and 'mix_power' this floors the power of the supplied
     spectrogram: max(eps * max(|Z|^2), |Z(t, f)|^2); the mode only names
-    which signal the caller supplies (the estimate or the mixture).
-    eps = 1 yields the constant peak power, i.e. no weighting. 'unit'
-    returns all ones.
+    which signal the caller supplies (the estimate or the mixture). A list
+    of spectrograms (several source estimates) supplies their summed power,
+    added in list order. eps = 1 yields the constant peak power,
+    i.e. no weighting. 'unit' returns all ones.
 
     Returns:
         (T, F) array of strictly positive weights.
     """
-    z = _as_tf(ref_spec)
-    if z.size == 0:
+    specs = [_as_tf(z) for z in (
+        ref_spec if isinstance(ref_spec, (list, tuple)) else [ref_spec])]
+    if not specs or specs[0].size == 0:
         raise ValueError("ref_spec is empty")
+    if any(z.shape != specs[0].shape for z in specs):
+        raise ValueError("spectrograms of different shapes")
     if mode == "unit":
-        return np.ones(z.shape)
+        return np.ones(specs[0].shape)
     if mode not in ("est_power", "mix_power"):
         raise ValueError(f"unknown lambda mode {mode!r}")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
-    return _floored_power(np.abs(z) ** 2, eps)
+    return _floored_power(sum(np.abs(z) ** 2 for z in specs), eps)
 
 
 def build_stack(z, taps, delay):
@@ -382,6 +383,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
 
     Returns:
         FilterBank of shape (F, K).
+
+    Raises:
+        FloatingPointError: a solved filter is not finite, as when the
+            loading overflows the Gram matrix.
     """
     z = _as_tf(stack_src)
     d = _as_tf(target)
@@ -405,7 +410,11 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     if n_singular:
         _log.warning("solve_wls: %d of %d bins have an exactly singular Gram "
                      "matrix; solved by lstsq", n_singular, z.shape[1])
-    return FilterBank(np.concatenate([filters for filters, _ in parts]), delay)
+    filters = np.concatenate([filters for filters, _ in parts])
+    if not np.all(np.isfinite(filters)):
+        raise FloatingPointError(f"solved filters are not finite with diag_load "
+                                 f"{diag_load:g}: the loaded Gram matrix overflows")
+    return FilterBank(filters, delay)
 
 
 def _floored_power(power, eps):
@@ -426,26 +435,20 @@ def wpe_vanilla(mixture, cfg):
 
     Args:
         mixture: T x F mixture spectrogram.
-        cfg: PredConfig with delay >= 1.
+        cfg: PredConfig with delay >= 1 (see ``wpe_supplied``).
 
     Returns:
         (dereverberated T x F array, FilterBank, objective trace of shape
         (iters, 2)).
     """
     y = _as_tf(mixture)
-    if cfg.delay < 1:
-        raise ValueError(
-            "WPE needs delay >= 1: with delay 0 the identity filter "
-            "zeroes the residual and the problem is vacuous"
-        )
     lam = _floored_power(np.abs(y) ** 2, cfg.eps)
     shat = y  # the residual of the previous filter; no filter at first
     filters = None
     trace = np.zeros((cfg.iters, 2))
     for i in range(cfg.iters):
         trace[i, 0] = np.sum(np.abs(shat) ** 2 / lam)
-        filters = solve_wls(y, y, cfg.taps, cfg.delay, lam, cfg.diag_load)
-        shat = y - apply_filter(filters, y)
+        shat, filters = wpe_supplied(y, lam, cfg.taps, cfg.delay, cfg.diag_load)
         trace[i, 1] = np.sum(np.abs(shat) ** 2 / lam)
         lam = _floored_power(np.abs(shat) ** 2, cfg.eps)
     return shat, filters, trace
@@ -553,67 +556,7 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
     return shat, FilterBank(coeffs, 0, "estimate"), xhat
 
 
-def fcp_per_source(mixture, ests, taps=40, lambda_mode="mix_power", eps=0.001,
-                   diag_load=1e-6):
-    """Run FCP independently for each source with its own filter.
-
-    Non-target sources stay in the residual of each run; with C = 1 this is
-    exactly ``fcp``.
-
-    Returns:
-        list of dereverberated T x F arrays, one per estimate.
-    """
-    y = _as_tf(mixture)
-    if len(ests) < 1:
-        raise ValueError("need at least one estimate")
-    outputs = []
-    for est in ests:
-        s = _as_tf(est)
-        weights = lambda_weights(s if lambda_mode == "est_power" else y,
-                                 lambda_mode, eps)
-        shat, _, _ = fcp(y, s, taps, weights, eps, diag_load)
-        outputs.append(shat)
-    return outputs
-
-
-def wpe_multi(mixture, ests, taps=37, delay=3, eps=0.001, variant="sf",
-              diag_load=1e-6):
-    """WPE for multiple sources: single-filter or multi-filter variant.
-
-    'sf' sums the estimates' powers into one weighting map and solves one
-    filter, returning one dereverberated mixture. 'mf' builds a weighting
-    map per estimate and solves one filter per source, each still applied
-    to the mixture stack; returns one signal per source. With one source
-    both coincide with ``wpe_supplied``.
-
-    Returns:
-        ('sf') (T x F array, FilterBank)
-        ('mf') (list of T x F arrays, list of FilterBank).
-    """
-    y = _as_tf(mixture)
-    if len(ests) < 1:
-        raise ValueError("need at least one estimate")
-    if delay < 1:
-        raise ValueError("WPE needs delay >= 1")
-    if variant == "sf":
-        power = np.zeros(y.shape)
-        for est in ests:
-            power += np.abs(_as_tf(est)) ** 2
-        weights = _floored_power(power, eps)
-        return wpe_supplied(y, weights, taps, delay, diag_load)
-    if variant == "mf":
-        outputs = []
-        banks = []
-        for est in ests:
-            weights = lambda_weights(_as_tf(est), "est_power", eps)
-            shat, bank = wpe_supplied(y, weights, taps, delay, diag_load)
-            outputs.append(shat)
-            banks.append(bank)
-        return outputs, banks
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def iterate(mixture, initial_est, step, passes):
+def iterate(mixture, initial_est, step, passes, feedback=None):
     """Re-run a prediction step, feeding each output back as the estimate.
 
     Args:
@@ -623,6 +566,9 @@ def iterate(mixture, initial_est, step, passes):
             element is the output (so ``fcp``/``icp`` can be passed
             directly).
         passes: number of passes, >= 1.
+        feedback: callable output -> next estimate, applied between passes
+            and never after the last one; None feeds the output back as it
+            is.
 
     Returns:
         final T x F output.
@@ -631,10 +577,10 @@ def iterate(mixture, initial_est, step, passes):
         raise ValueError("passes must be >= 1")
     y = _as_tf(mixture)
     est = _as_tf(initial_est)
-    out = est
-    for _ in range(passes):
+    for i in range(passes):
         out = step(y, est)
         if isinstance(out, tuple):
             out = out[0]
-        est = out
+        if i < passes - 1:
+            est = out if feedback is None else feedback(out)
     return out

@@ -5,7 +5,8 @@ reflections within a 50 ms window after the peak, and a late tail of
 exponentially decaying Gaussian noise whose energy drops 60 dB over t60.
 A scene mixes one or more sources (each convolved with its own RIR) plus
 optional noise, and keeps every component so that y = s + h + v holds
-sample-exact by construction.
+sample-exact by construction. ``target_estimates`` turns signals, such
+as the sources' direct paths, into the STFT estimates the predictors take.
 
 Scenes are immutable once built and safe to share between threads.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import ComplexSpectrogram, analyze
+from .stft import analyze
 
 SPEED_OF_SOUND = 343.0
 
@@ -317,23 +318,6 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
     )
 
 
-@dataclass(frozen=True)
-class TargetEstimate:
-    """A stand-in for an externally produced target-speech estimate.
-
-    ``provenance`` records how it was made: {"mode": "oracle"},
-    {"mode": "degraded", "error_snr_db": ..., "seed": ...}, or
-    {"mode": "external", "path": ...}.
-    """
-
-    spec: ComplexSpectrogram
-    provenance: dict
-
-    @property
-    def data(self):
-        return self.spec.data
-
-
 def degrade(signal, error_snr_db, seed):
     """Add seeded white noise at 10 log10(||s||^2 / ||e||^2) = error_snr_db."""
     s = np.asarray(signal, dtype=np.float64)
@@ -348,46 +332,20 @@ def degrade(signal, error_snr_db, seed):
     return s + e
 
 
-def make_estimate(scene, source_index=0, mode="oracle", cfg=None,
-                  error_snr_db=None, seed=0, path=None):
-    """Build a target estimate for one source of a scene.
+def target_estimates(signals, cfg, error_snr_db=None, seeds=()):
+    """STFT data (T x F arrays) of target estimates made from ``signals``.
 
-    Modes:
-        oracle: STFT of the source's direct-path image.
-        degraded: STFT of the image plus seeded white noise scaled so
-            10 log10(||s||^2 / ||e||^2) equals ``error_snr_db``
-            (infinite means oracle).
-        external: STFT of a WAV file's samples.
+    With ``error_snr_db`` None each estimate is its signal as it is (an
+    oracle estimate, or an external one read from a file); otherwise each
+    signal is first degraded with its own seed from ``seeds``, one per
+    signal (see ``degrade``).
     """
-    if cfg is None:
-        raise ValueError("an StftConfig is required")
-    if not 0 <= source_index < scene.n_sources:
-        raise ValueError(f"scene has no source {source_index}")
-    s = scene.direct[source_index]
-
-    if mode == "oracle":
-        return TargetEstimate(analyze(s, cfg), {"mode": "oracle"})
-    if mode == "degraded":
-        if error_snr_db is None:
-            raise ValueError("degraded mode needs error_snr_db")
-        return TargetEstimate(
-            analyze(degrade(s, error_snr_db, seed), cfg),
-            {"mode": "degraded", "error_snr_db": error_snr_db, "seed": seed},
-        )
-    if mode == "external":
-        from .wavio import read_wav
-
-        if path is None:
-            raise ValueError("external mode needs a path")
-        samples, fs = read_wav(path)
-        if fs != cfg.sample_rate:
-            raise ValueError(f"{path}: sample rate {fs} does not match config")
-        if samples.size != scene.n_samples:
-            raise ValueError(
-                f"{path}: {samples.size} samples, scene has {scene.n_samples}"
-            )
-        return TargetEstimate(analyze(samples, cfg), {"mode": "external", "path": str(path)})
-    raise ValueError(f"unknown estimate mode {mode!r}")
+    if error_snr_db is not None:
+        if len(seeds) != len(signals):
+            raise ValueError(f"{len(signals)} signals to degrade need as many "
+                             f"seeds; got {len(seeds)}")
+        signals = [degrade(s, error_snr_db, seed) for s, seed in zip(signals, seeds)]
+    return [analyze(s, cfg).data for s in signals]
 
 
 def synth_speech(n_samples, sample_rate, seed):

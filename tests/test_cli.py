@@ -17,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from dereverb import (StftConfig, analyze, cli, convpred, read_wav, si_sdr,
-                      synthesize, write_wav)
+from dereverb import (StftConfig, analyze, cli, convpred, degrade, metrics,
+                      read_wav, scene, si_sdr, synthesize, write_wav)
 from dereverb.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           cmd_dereverb, cmd_evaluate, cmd_simulate, main,
                           run_experiment)
@@ -168,6 +168,42 @@ def test_dereverb_rejects_setting_the_algorithm_ignores(scene_dir, tmp_path,
     assert err.startswith("config error:") and ignored in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_diag_load_is_a_numerical_failure(scene_dir, capsys):
+    """A loading that overflows the Gram matrix exits 4 naming diag_load, and
+    fails its sweep row with the same message."""
+    assert main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+                 "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp",
+                 "--diag-load", "1e308"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "diag_load 1e+308" in err
+    row, = run_experiment(small_sweep(seeds=[0], algorithms=[
+        {"name": "fcp", "diag_load": 1e308}]))["rows"]
+    assert row["metrics"] is None and row["error"] == err.strip().split(": ", 1)[1]
+
+
+@pytest.mark.parametrize("name, flags, unused", [
+    ("fcp", ["--estimate-error-snr-db", "10"], "estimate_error_snr_db"),
+    ("fcp", ["--estimate", "s.wav"], "estimate"),
+    ("fcp", ["--seed", "5"], "seed"),
+    ("fcp", ["--estimate-mode", "external", "--estimate", "s.wav", "--seed", "5"],
+     "seed"),
+    ("wpe_vanilla", ["--estimate-mode", "degraded"], "estimate_mode"),
+    ("wpe_vanilla", ["--seed", "5"], "seed"),
+])
+def test_dereverb_rejects_estimate_setting_it_does_not_apply(
+        scene_dir, tmp_path, capsys, name, flags, unused):
+    """An estimate setting that the algorithm and the estimate mode do not
+    apply exits 2 naming it, before any output is written."""
+    flags = [str(scene_dir / f) if f == "s.wav" else f for f in flags]
+    assert main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+                 "--reference", str(scene_dir / "s.wav"), "--algorithm", name,
+                 "--output", str(tmp_path / "o.wav"), *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {unused} not used")
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_dereverb_setting_of_wrong_type_is_config_error(scene_dir, tmp_path, capsys):
     config = tmp_path / "fcp.json"
     config.write_text(json.dumps({"mixture": str(scene_dir / "y.wav"),
@@ -235,16 +271,36 @@ def test_per_source_output_is_its_family_on_one_estimate(duo_1s, name):
     """The property the sweep's memo rests on: with equal settings, output c
     of a per-source algorithm is its family's output on estimate c alone."""
     cfg = StftConfig.for_rate(8000)
-    y = analyze(read_wav(duo_1s / "y.wav")[0], cfg).data
+    y = analyze(read_wav(duo_1s / "y.wav")[0], cfg)
     ests = [analyze(read_wav(duo_1s / f"s{c}.wav")[0], cfg).data for c in (0, 1)]
     algo = cli.ALGORITHMS[name]
-    family = cli.ALGORITHMS[algo.per_source]
-    pred = family.defaults()
+    pred = cli.ALGORITHMS[algo.per_source].defaults()
     assert algo.defaults() == pred
-    outputs = algo.run(y, ests, pred)
+    outputs = cli.run_algorithm(name, pred, y, ests)
     assert len(outputs) == len(ests)
     for c, est in enumerate(ests):
-        np.testing.assert_array_equal(outputs[c], family.run(y, [est], pred)[0])
+        np.testing.assert_array_equal(
+            outputs[c], cli.run_algorithm(algo.per_source, pred, y, [est])[0])
+
+
+def test_dereverb_degrades_estimate_c_with_seed_plus_c(duo_1s, tmp_path):
+    """Output c of a degraded 2-source run is fcp on the estimate
+    degrade(s_c, error, seed + c)."""
+    y, fs = read_wav(duo_1s / "y.wav")
+    assert main(["dereverb", "--mixture", str(duo_1s / "y.wav"),
+                 "--reference", str(duo_1s / "s0.wav"),
+                 "--reference", str(duo_1s / "s1.wav"),
+                 "--algorithm", "fcp_per_source", "--estimate-mode", "degraded",
+                 "--estimate-error-snr-db", "10", "--seed", "5",
+                 "--output", str(tmp_path / "o.wav")]) == EXIT_OK
+    mix = analyze(y, StftConfig.for_rate(fs))
+    for c in (0, 1):
+        s_c = read_wav(duo_1s / f"s{c}.wav")[0]
+        est = analyze(degrade(s_c, 10.0, 5 + c), mix.config).data
+        out = synthesize(mix.with_data(convpred.fcp(mix.data, est)[0]), y.size)
+        write_wav(tmp_path / f"lib_{c}.wav", out, fs)
+        assert ((tmp_path / f"o_{c}.wav").read_bytes()
+                == (tmp_path / f"lib_{c}.wav").read_bytes())
 
 
 def _nan_copy(src, dst):
@@ -424,7 +480,7 @@ def _duo_external(duo_1s, tmp_path, refs):
 
 def test_dereverb_fewer_references_than_outputs_is_config_error(
         duo_1s, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(convpred, "fcp_per_source", None)  # must never run
+    monkeypatch.setattr(convpred, "fcp", None)  # must never run
     assert main(_duo_external(duo_1s, tmp_path, ["s0.wav"])) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "2 outputs" in err
@@ -987,6 +1043,7 @@ def test_sweep_computes_each_input_once(monkeypatch):
 
     spy(cli, "_build_scene")
     spy(cli, "analyze")
+    spy(scene, "analyze")  # the estimates
     spy(convpred, "wpe_vanilla")
     spy(convpred, "solve_wls")
     rows = run_experiment(two_source_sweep())["rows"]
@@ -1001,6 +1058,7 @@ def test_sweep_computes_each_input_once(monkeypatch):
 
 
 def _count_analyze(monkeypatch):
+    """Count the STFTs of the mixture (cli) and of the estimates (scene)."""
     calls = []
     analyze = cli.analyze
 
@@ -1008,6 +1066,7 @@ def _count_analyze(monkeypatch):
         calls.append(1)
         return analyze(*args, **kwargs)
     monkeypatch.setattr(cli, "analyze", counted)
+    monkeypatch.setattr(scene, "analyze", counted)
     return calls
 
 
@@ -1019,8 +1078,11 @@ def test_dereverb_builds_only_the_estimates_the_algorithm_reads(
     that builds both estimates."""
     config = {"mixture": str(duo_1s / "y.wav"), "algorithm": "fcp",
               "reference": [str(duo_1s / "s0.wav"), str(duo_1s / "s1.wav")],
-              "estimate_mode": mode, "estimate_error_snr_db": 10.0,
-              "estimate": [str(duo_1s / "s1.wav"), str(duo_1s / "s0.wav")]}
+              "estimate_mode": mode,
+              **{"oracle": {},
+                 "degraded": {"estimate_error_snr_db": 10.0},
+                 "external": {"estimate": [str(duo_1s / "s1.wav"),
+                                           str(duo_1s / "s0.wav")]}}[mode]}
     calls = _count_analyze(monkeypatch)
     runs = []
     for label in ("read", "all"):
@@ -1059,6 +1121,23 @@ def _count_solves(monkeypatch):
         return solve_wls(*args, **kwargs)
     monkeypatch.setattr(convpred, "solve_wls", counted)
     return solves
+
+
+def test_sweep_degrades_direct_path_c_with_seed_plus_7919_times_c_plus_1():
+    """Output c of a degraded sweep row is fcp on the estimate
+    degrade(d_c, error, seed + 7919 (c + 1)) of direct path d_c."""
+    sweep = small_sweep(seeds=[3], n_sources=2, estimate_error_snr_db=[10.0],
+                        algorithms=["fcp_per_source"])
+    row, = run_experiment(sweep)["rows"]
+    sc = cli._build_scene({"seed": 3, "t60": 0.3, "n_sources": 2,
+                           "duration_s": 1.0, "sample_rate": 8000})
+    mix = analyze(sc.y, StftConfig.for_rate(8000))
+    for c in (0, 1):
+        est = analyze(degrade(sc.direct[c], 10.0, 3 + 7919 * (c + 1)), mix.config)
+        out = synthesize(mix.with_data(convpred.fcp(mix.data, est.data)[0]),
+                         sc.n_samples)
+        assert row["metrics"][c]["enhanced"] == metrics.evaluate_pair(
+            out, sc.direct[c]).to_dict()
 
 
 def test_sweep_rows_do_not_depend_on_algorithm_order(monkeypatch):

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dereverb import _blas, convpred
+from dereverb import _blas, cli, convpred
 from dereverb import (FilterBank, PredConfig, analyze, apply_filter,
-                      build_stack, fcp, fcp_per_source, icp, iterate,
-                      lambda_weights, make_estimate, si_sdr, solve_wls,
-                      synthesize, wpe_multi, wpe_supplied, wpe_vanilla)
+                      build_stack, fcp, icp, iterate, lambda_weights, si_sdr,
+                      solve_wls, synthesize, target_estimates, wpe_supplied,
+                      wpe_vanilla)
 from dereverb.convpred import _BIN_BLOCK, _floored_power
 
 
@@ -78,6 +78,19 @@ def test_lambda_eps_one_is_constant_peak():
 def test_lambda_unit_mode():
     spec = np.ones((5, 3), dtype=complex)
     assert np.all(lambda_weights(spec, "unit", 0.5) == 1.0)
+
+
+def test_lambda_sums_the_power_of_a_list_of_estimates():
+    rng = np.random.default_rng(1)
+    a, b = (rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+            for _ in range(2))
+    np.testing.assert_array_equal(lambda_weights([a], "est_power", 0.01),
+                                  lambda_weights(a, "est_power", 0.01))
+    np.testing.assert_array_equal(
+        lambda_weights([a, b], "est_power", 0.01),
+        _floored_power(np.abs(a) ** 2 + np.abs(b) ** 2, 0.01))
+    with pytest.raises(ValueError):
+        lambda_weights([a, b[:8]], "est_power", 0.01)
 
 
 def test_lambda_zero_spec_rejected():
@@ -198,6 +211,14 @@ def test_solver_input_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         solve_wls(bad, z, 2, 0, np.ones((10, 2)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_solver_overflowing_load_is_a_numerical_failure():
+    z = np.arange(20).reshape(10, 2) + 1j
+    with pytest.raises(FloatingPointError, match="diag_load 1e\\+308"):
+        solve_wls(z, z, 2, 0, np.ones((10, 2)), diag_load=1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +347,7 @@ def test_kernel_and_numpy_paths_agree(seed, taps, delay, bins, spare):
 def test_algorithms_bit_identical_on_any_worker_count(monkeypatch, reverb_scene,
                                                       cfg8k):
     y = analyze(reverb_scene.y, cfg8k).data
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k).data
+    est = analyze(reverb_scene.direct[0], cfg8k).data
     cfg = PredConfig.for_wpe()
     for workers in (2, 4):
         for fn, args in ((fcp, (y, est)), (wpe_vanilla, (y, cfg))):
@@ -424,8 +445,6 @@ def test_wpe_rejects_zero_delay():
         wpe_vanilla(y, PredConfig(taps=4, delay=0))
     with pytest.raises(ValueError):
         wpe_supplied(y, np.ones((32, 4)), taps=4, delay=0)
-    with pytest.raises(ValueError):
-        wpe_multi(y, [y], taps=4, delay=0)
 
 
 def test_trivial_solution_at_zero_delay():
@@ -557,7 +576,7 @@ def test_supplied_equals_vanilla_single_iteration(reverb_scene, cfg8k):
 
 def test_supplied_oracle_weights_improve(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k)
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k)
+    est = analyze(reverb_scene.direct[0], cfg8k)
     lam = lambda_weights(est.data, "est_power", 0.001)
     shat, _ = wpe_supplied(y.data, lam)
     out = synthesize(y.with_data(shat), reverb_scene.n_samples)
@@ -582,7 +601,7 @@ def test_icp_reaches_target_on_anechoic_scene(cfg8k):
                           rir_len=25, seed=0))
     scene = render_scene([dry], [rir], normalize=True)
     y = analyze(scene.y, cfg8k).data
-    est = make_estimate(scene, 0, "oracle", cfg=cfg8k)
+    est = analyze(scene.direct[0], cfg8k)
     shat, _ = icp(y, est.data)
     assert np.linalg.norm(shat - est.data) / np.linalg.norm(est.data) < 1e-4
 
@@ -606,7 +625,7 @@ def test_icp_planted_inverse_filter():
 
 def test_icp_improves_reverberant_scene(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k)
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k)
+    est = analyze(reverb_scene.direct[0], cfg8k)
     shat, _ = icp(y.data, est.data)
     out = synthesize(y.with_data(shat), reverb_scene.n_samples)
     assert si_sdr(out, reverb_scene.s) > si_sdr(reverb_scene.y, reverb_scene.s)
@@ -635,7 +654,7 @@ def test_fcp_planted_filter_recovery():
 
 def test_fcp_output_forms_agree(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k).data
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k).data
+    est = analyze(reverb_scene.direct[0], cfg8k).data
     shat, bank, xhat = fcp(y, est)
     live = np.sum(np.abs(est) ** 2, axis=0) >= 1e-12 * np.sum(np.abs(est) ** 2, axis=0).max()
     subtractive = (y - (xhat - est))[:, live]
@@ -646,7 +665,7 @@ def test_fcp_output_forms_agree(reverb_scene, cfg8k):
 
 def test_fcp_gain_on_simulated_scene(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k)
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k)
+    est = analyze(reverb_scene.direct[0], cfg8k)
     shat, _, _ = fcp(y.data, est.data)
     out = synthesize(y.with_data(shat), reverb_scene.n_samples)
     assert si_sdr(out, reverb_scene.s) >= si_sdr(reverb_scene.y, reverb_scene.s) + 5.0
@@ -675,32 +694,36 @@ def test_fcp_scale_equivariance():
 
 
 # ---------------------------------------------------------------------------
-# per-source FCP and multi-source WPE
+# per-source FCP and multi-source WPE (the CLI's fcp_per_source, wpe_sf and
+# wpe_mf)
 
 def test_fcp_per_source_single_source_identical(reverb_scene, cfg8k):
-    y = analyze(reverb_scene.y, cfg8k).data
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k).data
-    outs = fcp_per_source(y, [est])
-    direct, _, _ = fcp(y, est)
+    y = analyze(reverb_scene.y, cfg8k)
+    est = analyze(reverb_scene.direct[0], cfg8k).data
+    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, [est])
+    direct, _, _ = fcp(y.data, est)
+    assert len(outs) == 1
     np.testing.assert_array_equal(outs[0], direct)
 
 
 @pytest.mark.parametrize("mode", ["unit", "mix_power", "est_power"])
 def test_fcp_per_source_weights_each_source_like_fcp(two_speaker_scene, cfg8k, mode):
     sc = two_speaker_scene
-    y = analyze(sc.y, cfg8k).data
-    ests = [make_estimate(sc, c, "oracle", cfg=cfg8k).data for c in range(2)]
-    outs = fcp_per_source(y, ests, lambda_mode=mode)
+    y = analyze(sc.y, cfg8k)
+    ests = target_estimates(sc.direct, cfg8k)
+    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(lambda_mode=mode),
+                             y, ests)
+    assert len(outs) == 2
     for est, out in zip(ests, outs):
-        weights = lambda_weights(est if mode == "est_power" else y, mode, 0.001)
-        np.testing.assert_array_equal(out, fcp(y, est, weights=weights)[0])
+        weights = lambda_weights(est if mode == "est_power" else y.data, mode, 0.001)
+        np.testing.assert_array_equal(out, fcp(y.data, est, weights=weights)[0])
 
 
 def test_fcp_per_source_improves_both_sources(two_speaker_scene, cfg8k):
     sc = two_speaker_scene
     y = analyze(sc.y, cfg8k)
-    ests = [make_estimate(sc, c, "oracle", cfg=cfg8k).data for c in range(2)]
-    outs = fcp_per_source(y.data, ests)
+    ests = target_estimates(sc.direct, cfg8k)
+    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests)
     for c, out_tf in enumerate(outs):
         out = synthesize(y.with_data(out_tf), sc.n_samples)
         assert si_sdr(out, sc.direct[c]) > si_sdr(sc.y, sc.direct[c])
@@ -728,34 +751,40 @@ def test_per_source_fcp_filter_closer_than_mfwpe_filter():
     f_duo = fcp(y_duo, est1, taps=taps, weights=lam)[1].filters
     dev_fcp = np.linalg.norm(f_duo - f_solo) / np.linalg.norm(f_solo)
 
-    w_solo = wpe_multi(y_solo, [est1], taps=taps, delay=3, variant="mf")[1][0].filters
-    w_duo = wpe_multi(y_duo, [est1], taps=taps, delay=3, variant="mf")[1][0].filters
+    # wpe_mf's filter for this source
+    w_solo = wpe_supplied(y_solo, lam, taps=taps, delay=3)[1].filters
+    w_duo = wpe_supplied(y_duo, lam, taps=taps, delay=3)[1].filters
     dev_wpe = np.linalg.norm(w_duo - w_solo) / np.linalg.norm(w_solo)
     assert dev_fcp < dev_wpe
 
 
 def test_wpe_multi_single_source_matches_supplied(reverb_scene, cfg8k):
-    y = analyze(reverb_scene.y, cfg8k).data
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k).data
+    """With one source, wpe_sf and wpe_mf are wpe_supplied."""
+    y = analyze(reverb_scene.y, cfg8k)
+    est = analyze(reverb_scene.direct[0], cfg8k).data
     lam = lambda_weights(est, "est_power", 0.001)
-    ref, _ = wpe_supplied(y, lam, taps=12, delay=3)
-    sf_out, _ = wpe_multi(y, [est], taps=12, delay=3, variant="sf")
-    mf_outs, _ = wpe_multi(y, [est], taps=12, delay=3, variant="mf")
-    np.testing.assert_array_equal(sf_out, ref)
-    np.testing.assert_array_equal(mf_outs[0], ref)
+    ref, _ = wpe_supplied(y.data, lam, taps=12, delay=3)
+    for name in ("wpe_sf", "wpe_mf"):
+        outs = cli.run_algorithm(name, PredConfig.for_wpe(taps=12), y, [est])
+        assert len(outs) == 1
+        np.testing.assert_array_equal(outs[0], ref)
 
 
 def test_wpe_multi_shapes_and_finiteness(two_speaker_scene, cfg8k):
+    """wpe_sf writes one output, weighted by the summed power of the
+    estimates; wpe_mf writes one per source."""
     sc = two_speaker_scene
-    y = analyze(sc.y, cfg8k).data
-    ests = [make_estimate(sc, c, "oracle", cfg=cfg8k).data for c in range(2)]
-    sf_out, sf_bank = wpe_multi(y, ests, taps=12, delay=3, variant="sf")
-    assert sf_out.shape == y.shape and np.all(np.isfinite(sf_out))
-    assert isinstance(sf_bank, FilterBank)
-    mf_outs, mf_banks = wpe_multi(y, ests, taps=12, delay=3, variant="mf")
-    assert len(mf_outs) == 2 and len(mf_banks) == 2
-    for out in mf_outs:
-        assert out.shape == y.shape and np.all(np.isfinite(out))
+    y = analyze(sc.y, cfg8k)
+    ests = target_estimates(sc.direct, cfg8k)
+    pred = PredConfig.for_wpe(taps=12)
+    sf_outs = cli.run_algorithm("wpe_sf", pred, y, ests)
+    summed = lambda_weights(ests, "est_power", 0.001)
+    assert len(sf_outs) == 1
+    np.testing.assert_array_equal(sf_outs[0], wpe_supplied(y.data, summed, 12, 3)[0])
+    mf_outs = cli.run_algorithm("wpe_mf", pred, y, ests)
+    assert len(mf_outs) == 2
+    for out in sf_outs + mf_outs:
+        assert out.shape == y.data.shape and np.all(np.isfinite(out))
 
 
 def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
@@ -764,12 +793,12 @@ def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
     its dedicated FCP filter does."""
     sc = two_speaker_scene
     y = analyze(sc.y, cfg8k)
-    ests = [make_estimate(sc, c, "oracle", cfg=cfg8k).data for c in range(2)]
+    ests = target_estimates(sc.direct, cfg8k)
     base = si_sdr(sc.y, sc.direct[0])
-    sf_out, _ = wpe_multi(y.data, ests, taps=37, delay=3, variant="sf")
+    sf_out, = cli.run_algorithm("wpe_sf", PredConfig.for_wpe(), y, ests)
     wpe_gain = si_sdr(synthesize(y.with_data(sf_out), sc.n_samples),
                       sc.direct[0]) - base
-    fcp_out = fcp_per_source(y.data, ests)[0]
+    fcp_out = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests)[0]
     fcp_gain = si_sdr(synthesize(y.with_data(fcp_out), sc.n_samples),
                       sc.direct[0]) - base
     assert fcp_gain > wpe_gain
@@ -780,9 +809,20 @@ def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
 
 def test_iterate_single_pass_equals_direct_call(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k).data
-    est = make_estimate(reverb_scene, 0, "degraded", cfg=cfg8k,
-                        error_snr_db=10.0, seed=3).data
+    est, = target_estimates([reverb_scene.direct[0]], cfg8k, 10.0, [3])
     np.testing.assert_array_equal(iterate(y, est, fcp, 1), fcp(y, est)[0])
+
+
+def test_iterate_feeds_back_between_passes_only():
+    """The feedback maps each output but the last to the next estimate."""
+    rng = np.random.default_rng(16)
+    y = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+    seen, fed = [], []
+    out = iterate(y, y, lambda mix, est: seen.append(est) or est + 1, passes=3,
+                  feedback=lambda o: fed.append(o) or 2 * o)
+    assert len(seen) == 3 and len(fed) == 2
+    np.testing.assert_array_equal(seen[1], 2 * (y + 1))
+    np.testing.assert_array_equal(out, 2 * (2 * (y + 1) + 1) + 1)
 
 
 def test_iterate_fixed_point():

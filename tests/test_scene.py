@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dereverb import (Rir, RirSpec, degrade, gen_rir, make_estimate, read_wav,
+from dereverb import (Rir, RirSpec, analyze, cli, degrade, gen_rir, read_wav,
                       render_scene, rir_spec_for_distance, si_sdr, split_rir,
-                      strip_late, synth_speech, write_wav)
+                      strip_late, synth_speech, target_estimates, write_wav)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +179,14 @@ def test_scene_determinism():
 # target estimates
 
 def test_oracle_estimate_is_exact_stft(reverb_scene, cfg8k):
-    from dereverb import analyze
-    est = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k)
-    np.testing.assert_array_equal(est.data, analyze(reverb_scene.s, cfg8k).data)
-    assert est.provenance == {"mode": "oracle"}
+    est, = target_estimates([reverb_scene.direct[0]], cfg8k)
+    np.testing.assert_array_equal(est, analyze(reverb_scene.s, cfg8k).data)
 
 
 def test_degraded_at_infinity_equals_oracle(reverb_scene, cfg8k):
-    oracle = make_estimate(reverb_scene, 0, "oracle", cfg=cfg8k)
-    inf = make_estimate(reverb_scene, 0, "degraded", cfg=cfg8k,
-                        error_snr_db=math.inf, seed=1)
-    np.testing.assert_allclose(inf.data, oracle.data, atol=1e-12)
+    oracle, = target_estimates([reverb_scene.direct[0]], cfg8k)
+    inf, = target_estimates([reverb_scene.direct[0]], cfg8k, math.inf, [1])
+    np.testing.assert_allclose(inf, oracle, atol=1e-12)
 
 
 def test_degraded_estimate_hits_requested_snr(reverb_scene):
@@ -202,26 +199,27 @@ def test_degraded_estimate_hits_requested_snr(reverb_scene):
 def test_external_estimate_roundtrip(reverb_scene, cfg8k, tmp_path):
     path = tmp_path / "est.wav"
     write_wav(path, reverb_scene.s, 8000, "float32")
-    est = make_estimate(reverb_scene, 0, "external", cfg=cfg8k, path=path)
-    assert est.provenance["mode"] == "external"
-    assert est.spec.frames == make_estimate(reverb_scene, 0, "oracle",
-                                            cfg=cfg8k).spec.frames
+    n = reverb_scene.n_samples
+    signals, _ = cli._load_signals([str(path)], 8000, n, "estimate")
+    est, = target_estimates(signals, cfg8k)
+    assert est.shape == analyze(reverb_scene.direct[0], cfg8k).data.shape
     with pytest.raises(OSError):
-        make_estimate(reverb_scene, 0, "external", cfg=cfg8k,
-                      path=tmp_path / "nope.wav")
+        cli._load_signals([str(tmp_path / "nope.wav")], 8000, n, "estimate")
     short = tmp_path / "short.wav"
     write_wav(short, reverb_scene.s[:100], 8000)
     with pytest.raises(ValueError):
-        make_estimate(reverb_scene, 0, "external", cfg=cfg8k, path=short)
+        cli._load_signals([str(short)], 8000, n, "estimate")
 
 
-def test_make_estimate_validation(reverb_scene, cfg8k):
-    with pytest.raises(ValueError):
-        make_estimate(reverb_scene, 5, "oracle", cfg=cfg8k)
-    with pytest.raises(ValueError):
-        make_estimate(reverb_scene, 0, "degraded", cfg=cfg8k)  # missing snr
-    with pytest.raises(ValueError):
-        make_estimate(reverb_scene, 0, "oracle")  # missing cfg
+def test_target_estimates_validation(reverb_scene, cfg8k):
+    with pytest.raises(ValueError):  # one degrade seed per signal
+        target_estimates(reverb_scene.direct, cfg8k, 10.0, [])
+    with pytest.raises(ValueError):  # a silent signal cannot be degraded
+        target_estimates([np.zeros(800)], cfg8k, 10.0, [0])
+    # each signal is degraded with its own seed
+    a, b = target_estimates([reverb_scene.s] * 2, cfg8k, 10.0, [4, 5])
+    np.testing.assert_array_equal(a, analyze(degrade(reverb_scene.s, 10.0, 4), cfg8k).data)
+    np.testing.assert_array_equal(b, analyze(degrade(reverb_scene.s, 10.0, 5), cfg8k).data)
 
 
 # ---------------------------------------------------------------------------
