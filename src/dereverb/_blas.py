@@ -1,11 +1,10 @@
 """Lookup of the OpenBLAS that numpy's wheel bundles: its thread count, for
 the CLI's thread pin and the solver's choice of worker count, and the
-per-bin kernels the solver calls on it.
-
-The kernels are called through ``ctypes.CDLL``, which releases the GIL for
-the duration of every call, so the solver's bin workers run them in
-parallel. scipy's f2py BLAS/LAPACK wrappers hold the GIL and run on a
-second OpenBLAS copy, so ``convpred`` does not use them.
+per-bin kernels the solver calls on it, called through ``ctypes.CDLL``,
+which releases the GIL for every call, so the solver's bin workers run them
+in parallel. scipy's f2py LAPACK wrappers hold the GIL and run on a second
+OpenBLAS copy, so only ``ScipyKernels``, the fallback for a numpy without
+its bundled OpenBLAS, uses them; the solver then runs on one worker.
 """
 
 import ctypes
@@ -14,6 +13,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lapack
 
 _ROW_MAJOR, _NO_TRANS, _CONJ_TRANS = 101, 111, 113
 _ONE = np.array([1.0, 0.0])
@@ -138,14 +138,38 @@ class Kernels:
         np.conjugate(rhs, out=rhs)
 
 
+class ScipyKernels:
+    """``Kernels``' methods on numpy's matmul and scipy's LAPACK wrappers.
+    The wrappers get the transposed views of the checked C-contiguous
+    matrices, so they overwrite in place the memory ``Kernels`` would."""
+
+    def gram(self, m, out):
+        np.matmul(m, np.swapaxes(np.conj(m), 1, 2), out=out)
+
+    def cholesky(self, a, which):
+        b, n = a.shape[:2]
+        _check([(a, (b, n, n))], which)
+        return np.array([lapack.zpotrf(a[i].T, overwrite_a=True, clean=False)[1] == 0
+                         for i in which.tolist()], dtype=bool)
+
+    def solve(self, factor, rhs, which):
+        b, n = factor.shape[:2]
+        _check([(factor, (b, n, n)), (rhs, (b, n, 1))], which)
+        np.conjugate(rhs, out=rhs)
+        for i in which.tolist():
+            lapack.zpotrs(factor[i].T, rhs[i], overwrite_b=True)
+        np.conjugate(rhs, out=rhs)
+
+
 @functools.cache
 def numpy_kernels():
-    """The solver's kernels on numpy's OpenBLAS, bound on first use, or
-    None when numpy does not bundle OpenBLAS or it lacks a symbol."""
+    """The solver's kernels: on numpy's OpenBLAS, bound on first use, or
+    ``ScipyKernels`` when numpy does not bundle OpenBLAS or it lacks a
+    symbol."""
     lib = _numpy_openblas_lib()
-    if lib is None:
-        return None
-    try:
-        return Kernels(lib)
-    except AttributeError:
-        return None
+    if lib is not None:
+        try:
+            return Kernels(lib)
+        except AttributeError:
+            pass
+    return ScipyKernels()

@@ -5,7 +5,9 @@ inverse convolutive prediction (ICP) and forward convolutive prediction
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
 Frequency bins are solved independently, one GEMM, one Cholesky factor and
-three triangular solves each on numpy's OpenBLAS (``_blas.Kernels``).
+three triangular solves each, through one kernel interface: numpy's OpenBLAS
+(``_blas.Kernels``), or numpy's matmul and scipy's LAPACK wrappers without it
+(``_blas.ScipyKernels``). A bin that does not factor gets lstsq's answer.
 When numpy's OpenBLAS runs on one thread, ``solve_wls`` and ``apply_filter``
 split the bins into one contiguous range per core and run each range on a
 thread pool that lives for that call only; every bin goes through the same
@@ -96,13 +98,11 @@ class FilterBank:
     """One K-tap complex filter per frequency bin.
 
     ``filters`` has shape (F, K) and is applied through the conjugate
-    transpose; ``stack_on`` records which signal the prediction stack is
-    built from ('mixture' or 'estimate').
+    transpose.
     """
 
     filters: np.ndarray
     delay: int
-    stack_on: str = "mixture"
 
     def __post_init__(self):
         filters = np.asarray(self.filters, dtype=np.complex128)
@@ -237,37 +237,13 @@ def _over_bins(n_bins, run):
         return [first] + [future.result() for future in rest]
 
 
-def _refined_solve(gram, rhs):
-    """Batched solve with two rounds of iterative refinement, which recover
-    the digits the normal equations lose on ill-conditioned bins."""
-    sol = np.linalg.solve(gram, rhs)
-    for _ in range(2):
-        sol = sol + np.linalg.solve(gram, rhs - gram @ sol)
-    return sol
-
-
-def _lu_solve(gram, rhs):
-    """``_refined_solve`` on LU factors; a matrix that is exactly singular
-    gets lstsq's minimum-norm solution while the others are still solved
-    batched. Returns the solutions and the number of singular matrices."""
-    try:
-        return _refined_solve(gram, rhs), 0
-    except np.linalg.LinAlgError:
-        # slogdet's LU meets the same exact zero pivot that failed the solve
-        singular = np.linalg.slogdet(gram)[0] == 0
-        sol = np.empty_like(rhs)
-        sol[~singular] = _refined_solve(gram[~singular], rhs[~singular])
-        for i in np.flatnonzero(singular):
-            sol[i] = np.linalg.lstsq(gram[i], rhs[i], rcond=None)[0]
-        return sol, int(np.count_nonzero(singular))
-
-
 def _cholesky_solve(kernels, gram, rhs, live, factor):
-    """Solutions of the live bins' systems on one Cholesky factor each,
-    with two rounds of iterative refinement; bins whose factorization fails
-    go to ``_lu_solve``. ``factor`` is a buffer shaped like ``gram``.
-    Returns the solutions (zero for dead bins) and the number of singular
-    matrices."""
+    """Solutions of the live bins' systems on one Cholesky factor each, with
+    two rounds of iterative refinement for the digits the normal equations
+    lose on ill-conditioned bins; a bin that does not factor is numerically
+    indefinite and gets lstsq's minimum-norm solution. ``factor`` is a
+    buffer shaped like ``gram``. Returns the solutions (zero for dead bins)
+    and the number of bins sent to lstsq."""
     factor[...] = gram
     live_bins = np.flatnonzero(live)
     factored = kernels.cholesky(factor, live_bins)
@@ -279,11 +255,10 @@ def _cholesky_solve(kernels, gram, rhs, live, factor):
         resid = rhs - gram @ sol
         kernels.solve(factor, resid, which)
         np.add(sol, resid, out=sol, where=chol[:, None, None])
-    failed = live & ~chol
-    if not np.any(failed):
-        return sol, 0
-    sol[failed], n_singular = _lu_solve(gram[failed], rhs[failed])
-    return sol, n_singular
+    failed = live_bins[~factored]
+    for i in failed:
+        sol[i] = np.linalg.lstsq(gram[i], rhs[i], rcond=None)[0]
+    return sol, len(failed)
 
 
 def _solve_range(z, d, taps, delay, w, diag_load, block):
@@ -296,10 +271,9 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
     d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
     left out. M @ M^H is [[R, r], [r^H, e]]: the Gram matrix R and the
     right-hand side r of the normal equations. Each block fills M once,
-    multiplies it into a block-sized Gram buffer, loads the diagonal in
-    place and solves; on numpy's OpenBLAS with one GEMM, one Cholesky
-    factor and three triangular solves per bin, otherwise with numpy's
-    batched matmul and LU solves.
+    multiplies it into a block-sized Gram buffer (``kernels.gram``), loads
+    the diagonal in place, raising FloatingPointError if the loading
+    overflows, and solves (``_cholesky_solve``).
     """
     n_frames, n_bins = z.shape
     n_cols = n_frames - delay
@@ -316,7 +290,7 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
     aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
     products = np.empty((block, taps + 1, taps + 1), dtype=np.complex128)
     factors = np.empty((block, taps, taps), dtype=np.complex128)
-    n_singular = 0
+    n_failed = 0
     for lo in range(0, n_bins, block):
         hi = min(lo + block, n_bins)
         m, full = aug[:hi - lo], products[:hi - lo]
@@ -324,10 +298,7 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
             zp[lo:hi], n_cols, axis=1)[:, ::-1]      # (b, K, n_cols)
         np.multiply(shifted, sqrt_inv_w[lo:hi, None, :], out=m[:, :taps])
         np.multiply(d_t[lo:hi], sqrt_inv_w[lo:hi], out=m[:, taps])
-        if kernels is None:
-            np.matmul(m, np.swapaxes(np.conj(m), 1, 2), out=full)
-        else:
-            kernels.gram(m, full)
+        kernels.gram(m, full)
         gram = full[:, :taps, :taps]                # (b, K, K)
         rhs = full[:, :taps, taps:]                 # (b, K, 1)
         trace = np.einsum("fkk->f", gram).real
@@ -335,17 +306,16 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
         if not np.any(live):
             continue
         if diag_load > 0:                           # R's diagonal, in place
-            full.reshape(hi - lo, -1)[:, :taps * (taps + 2):taps + 2] += (
-                diag_load * trace / taps)[:, None]
-        if kernels is None:
-            sol, singular = _lu_solve(gram[live], rhs[live])
-            filters[lo:hi][live] = sol[:, :, 0]
-        else:
-            sol, singular = _cholesky_solve(kernels, gram, rhs, live,
-                                            factors[:hi - lo])
-            filters[lo:hi] = sol[:, :, 0]
-        n_singular += singular
-    return filters, n_singular
+            with np.errstate(over="ignore"):
+                load = diag_load * trace / taps
+            if not np.all(np.isfinite(load)):
+                raise FloatingPointError(
+                    f"the diagonal loading overflows with diag_load {diag_load:g}")
+            full.reshape(hi - lo, -1)[:, :taps * (taps + 2):taps + 2] += load[:, None]
+        sol, failed = _cholesky_solve(kernels, gram, rhs, live, factors[:hi - lo])
+        filters[lo:hi] = sol[:, :, 0]
+        n_failed += failed
+    return filters, n_failed
 
 
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
@@ -358,8 +328,7 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     diag_load * trace(R) / K per bin: one Cholesky factor per bin, and two
     rounds of iterative refinement on it. Bins whose stack carries no
     energy get a zero filter; a bin whose loaded Gram matrix is not
-    positive definite is solved by LU with the same refinement, and if it
-    is exactly singular gets the minimum-norm least-squares solution; one
+    positive definite gets the minimum-norm least-squares solution, and one
     WARNING record gives the count of those.
 
     The Gram matrix R and right-hand side r of each bin come from one GEMM
@@ -368,10 +337,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     (_BIN_BLOCK, K+1, T) stack buffer plus (_BIN_BLOCK, K+1, K+1) products
     and (_BIN_BLOCK, K, K) factors, shared out among the workers, and the
     (F, K) filters, whatever the number of bins. The kernels run on numpy's
-    OpenBLAS through ctypes, without the GIL; without it, on numpy's
-    batched matmul and LU solves. When numpy's OpenBLAS runs on one thread
-    the bins are split into one contiguous range per core, each solved on
-    its own thread.
+    OpenBLAS through ctypes, without the GIL; without it, the same calls
+    run on numpy's matmul and scipy's LAPACK wrappers. When numpy's OpenBLAS
+    runs on one thread the bins are split into one contiguous range per
+    core, each solved on its own thread.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -385,8 +354,8 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
         FilterBank of shape (F, K).
 
     Raises:
-        FloatingPointError: a solved filter is not finite, as when the
-            loading overflows the Gram matrix.
+        FloatingPointError: the loading overflows, or a solved filter is
+            not finite.
     """
     z = _as_tf(stack_src)
     d = _as_tf(target)
@@ -406,10 +375,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
 
     parts = _over_bins(z.shape[1], lambda lo, hi, block: _solve_range(
         z[:, lo:hi], d[:, lo:hi], taps, delay, w[:, lo:hi], diag_load, block))
-    n_singular = sum(n for _, n in parts)
-    if n_singular:
-        _log.warning("solve_wls: %d of %d bins have an exactly singular Gram "
-                     "matrix; solved by lstsq", n_singular, z.shape[1])
+    n_failed = sum(n for _, n in parts)
+    if n_failed:
+        _log.warning("solve_wls: %d of %d bins have a Gram matrix that is not "
+                     "positive definite; solved by lstsq", n_failed, z.shape[1])
     filters = np.concatenate([filters for filters, _ in parts])
     if not np.all(np.isfinite(filters)):
         raise FloatingPointError(f"solved filters are not finite with diag_load "
@@ -512,7 +481,7 @@ def icp(mixture, est, taps=40, weights=None, eps=1.0, diag_load=1e-6):
     if np.any(dead):
         coeffs = np.where(dead[:, None], 0.0, coeffs)
         shat[:, dead] = y[:, dead]
-    return shat, FilterBank(coeffs, 0, "mixture")
+    return shat, FilterBank(coeffs, 0)
 
 
 def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
@@ -553,7 +522,7 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
         coeffs = np.where(dead[:, None], 0.0, coeffs)
         shat[:, dead] = y[:, dead]
         xhat[:, dead] = 0.0
-    return shat, FilterBank(coeffs, 0, "estimate"), xhat
+    return shat, FilterBank(coeffs, 0), xhat
 
 
 def iterate(mixture, initial_est, step, passes, feedback=None):

@@ -168,11 +168,10 @@ def test_dereverb_rejects_setting_the_algorithm_ignores(scene_dir, tmp_path,
     assert err.startswith("config error:") and ignored in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_diag_load_is_a_numerical_failure(scene_dir, capsys):
-    """A loading that overflows the Gram matrix exits 4 naming diag_load, and
-    fails its sweep row with the same message."""
+    """A loading that overflows the Gram matrix exits 4 naming diag_load,
+    with no numpy warning, and fails its sweep row with the same message."""
     assert main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
                  "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp",
                  "--diag-load", "1e308"]) == EXIT_NUMERIC

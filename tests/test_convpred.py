@@ -162,10 +162,10 @@ def test_solver_matches_bruteforce_oracle(case):
 
 
 def test_singular_bin_falls_back_alone(monkeypatch, caplog):
-    """An exactly singular Gram matrix (no loading, only the last frame
-    nonzero, so the delayed tap never sees it) sends that bin alone to
-    lstsq, with one WARNING record; the healthy bins keep the batched
-    solve."""
+    """On either kernel provider, an exactly singular Gram matrix (no
+    loading, only the last frame nonzero, so the delayed tap never sees it)
+    sends that bin alone to lstsq, with one WARNING record; the healthy bins
+    keep the Cholesky solve."""
     rng = np.random.default_rng(4)
     frames, taps = 32, 2
     z = rng.standard_normal((frames, 3)) + 1j * rng.standard_normal((frames, 3))
@@ -181,24 +181,29 @@ def test_singular_bin_falls_back_alone(monkeypatch, caplog):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    with caplog.at_level(logging.WARNING, logger="dereverb"):
-        bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
-    assert lstsq_calls == [(taps, taps)]
-    records = [r for r in caplog.records if r.name == "dereverb.convpred"]
-    assert [r.levelno for r in records] == [logging.WARNING]
-    assert "1 of 3 bins" in records[0].getMessage()
-    caplog.clear()
+    for kernels in solver_paths():
+        monkeypatch.setattr(_blas, "numpy_kernels", lambda: kernels)
+        lstsq_calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dereverb"):
+            bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
+        assert lstsq_calls == [(taps, taps)]
+        records = [r for r in caplog.records if r.name == "dereverb.convpred"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "1 of 3 bins" in records[0].getMessage()
+        assert "not positive definite" in records[0].getMessage()
+        caplog.clear()
 
-    healthy = [0, 2]
-    alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
-                      diag_load=0.0)
-    assert not caplog.records
-    err = (np.linalg.norm(bank.filters[healthy] - alone.filters)
-           / np.linalg.norm(alone.filters))
-    assert err < 1e-12
-    # minimum-norm solution: tap 0 fits the last frame exactly, tap 1 is free
-    expected = [np.conj(d[-1, 1] / z[-1, 1]), 0.0]
-    np.testing.assert_allclose(bank.filters[1], expected, rtol=1e-12, atol=1e-15)
+        healthy = [0, 2]
+        alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
+                          diag_load=0.0)
+        assert not caplog.records
+        err = (np.linalg.norm(bank.filters[healthy] - alone.filters)
+               / np.linalg.norm(alone.filters))
+        assert err < 1e-12
+        # minimum-norm solution: tap 0 fits the last frame exactly, tap 1 is free
+        expected = [np.conj(d[-1, 1] / z[-1, 1]), 0.0]
+        np.testing.assert_allclose(bank.filters[1], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_solver_input_validation():
@@ -213,9 +218,10 @@ def test_solver_input_validation():
         solve_wls(bad, z, 2, 0, np.ones((10, 2)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_solver_overflowing_load_is_a_numerical_failure():
+    """A loading that overflows raises naming diag_load, with no numpy
+    warning."""
     z = np.arange(20).reshape(10, 2) + 1j
     with pytest.raises(FloatingPointError, match="diag_load 1e\\+308"):
         solve_wls(z, z, 2, 0, np.ones((10, 2)), diag_load=1e308)
@@ -249,8 +255,8 @@ def ranged_instance(bins, delay, taps=4, frames=40):
 
 
 class KernelSpy:
-    """numpy's OpenBLAS kernels, recording the number of bins of every
-    Gram block they multiply."""
+    """A kernel provider, recording the number of bins of every Gram block
+    it multiplies."""
 
     def __init__(self, kernels):
         self.kernels = kernels
@@ -265,16 +271,17 @@ class KernelSpy:
 
 
 def solver_paths():
-    """The kernels of each solver path: None for the numpy fallback, and
-    numpy's OpenBLAS kernels behind a KernelSpy when numpy bundles it."""
+    """Each kernel provider behind a KernelSpy: the numpy/scipy fallback,
+    and numpy's OpenBLAS kernels when numpy bundles it."""
     kernels = _blas.numpy_kernels()
-    return [None] + ([KernelSpy(kernels)] if kernels is not None else [])
+    return [KernelSpy(_blas.ScipyKernels())] + (
+        [KernelSpy(kernels)] if isinstance(kernels, _blas.Kernels) else [])
 
 
 @pytest.mark.parametrize("delay", [0, 3])
 @pytest.mark.parametrize("bins", [1, 3, _BIN_BLOCK - 1, 2 * _BIN_BLOCK + 3, 129])
 def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
-    """On either solver path: the same filters on 1, 2 and 3 workers, the
+    """On either kernel provider: the same filters on 1, 2 and 3 workers, the
     singular bin sent to lstsq once per call, and the workers together
     buffering no more bins than one thread does."""
     z, d, taps, delay, lam = ranged_instance(bins, delay)
@@ -302,15 +309,14 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
         assert len(lstsq_calls) == 1
         for workers in (2, 3):
             blocks.clear()
-            if kernels is not None:
-                kernels.grams.clear()
+            kernels.grams.clear()
             many = run_on_workers(monkeypatch, workers, solve_wls, z, d, taps,
                                   delay, lam, diag_load=0.0).filters
             np.testing.assert_array_equal(many, one)
             assert len(blocks) == min(workers, bins)
             assert len(blocks) * max(blocks) <= _BIN_BLOCK
-            if kernels is not None:  # no Gram block outgrows a worker's share
-                assert kernels.grams and max(kernels.grams) <= max(blocks)
+            # no Gram block outgrows a worker's share
+            assert kernels.grams and max(kernels.grams) <= max(blocks)
             pred = [run_on_workers(monkeypatch, w, apply_filter,
                                    FilterBank(one, delay), z) for w in (1, workers)]
             np.testing.assert_array_equal(pred[1], pred[0])
@@ -323,24 +329,23 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 3),
        st.integers(1, 6), st.integers(0, 24))
 def test_kernel_and_numpy_paths_agree(seed, taps, delay, bins, spare):
-    """The OpenBLAS path and the numpy fallback agree to 1e-12 relative on
-    overdetermined problems, and both stay within C1's 1e-8 of the
-    pseudo-inverse oracle."""
-    kernels = _blas.numpy_kernels()
-    if kernels is None:
-        pytest.skip("numpy does not use its bundled OpenBLAS")
+    """The OpenBLAS kernels and the numpy/scipy fallback agree to 1e-12
+    relative on overdetermined problems, and both stay within C1's 1e-8 of
+    the pseudo-inverse oracle."""
     rng = np.random.default_rng(seed)
     frames = 2 * taps + delay + 2 + spare
     z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
     d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
     lam = rng.uniform(0.1, 10.0, (frames, bins))
-    with pytest.MonkeyPatch.context() as m:
-        fast = solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters
-        m.setattr(_blas, "numpy_kernels", lambda: None)
-        plain = solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters
-    assert np.linalg.norm(fast - plain) <= 1e-12 * np.linalg.norm(plain)
+    solved = []
+    for kernels in solver_paths():
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_blas, "numpy_kernels", lambda: kernels)
+            solved.append(solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters)
+    plain = solved[0]
     expected = wls_oracle(z, d, taps, delay, lam)
-    for filters in (fast, plain):
+    for filters in solved:
+        assert np.linalg.norm(filters - plain) <= 1e-12 * np.linalg.norm(plain)
         assert np.linalg.norm(filters - expected) < 1e-8 * np.linalg.norm(expected)
 
 
