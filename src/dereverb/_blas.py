@@ -1,10 +1,14 @@
 """Lookup of the OpenBLAS that numpy's wheel bundles: its thread count, for
 the CLI's thread pin and the solver's choice of worker count, and the
-per-bin kernels the solver calls on it, called through ``ctypes.CDLL``,
-which releases the GIL for every call, so the solver's bin workers run them
-in parallel. scipy's f2py LAPACK wrappers hold the GIL and run on a second
-OpenBLAS copy, so only ``ScipyKernels``, the fallback for a numpy without
-its bundled OpenBLAS, uses them; the solver then runs on one worker.
+kernels called on it through ``ctypes.CDLL``: the solver's per-bin complex
+Gram, Cholesky factor and solves, and the real blocked Cholesky factor and
+solve of the 512-tap SDR's normal equations. ``ctypes`` releases the GIL
+for every call, so the solver's bin workers run them in parallel. scipy's
+f2py BLAS and LAPACK wrappers hold the GIL and run on a second OpenBLAS
+copy, so only ``ScipyKernels``, the fallback for a numpy without its
+bundled OpenBLAS, uses them, and it imports ``scipy.linalg`` only when one
+of its methods first runs; the solver then runs on one worker. Importing
+this module loads no scipy module.
 """
 
 import ctypes
@@ -13,23 +17,33 @@ import os
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
-_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS = 101, 111, 113
+_ROW_MAJOR, _NO_TRANS, _TRANS, _CONJ_TRANS = 101, 111, 112, 113
+_UPPER, _NON_UNIT, _LEFT = 121, 131, 141
+# Column width of the blocks spd_cholesky factors one at a time. OpenBLAS
+# runs a dpotrf this small on one thread, and it splits the dtrsm and dsyrk
+# updates between its threads by output rows and columns, so every element
+# of the factor gets the same arithmetic on any thread count. A whole-matrix
+# dpotrf splits its work by thread count, and its bits follow.
+_FACTOR_BLOCK = 48
 _ONE = np.array([1.0, 0.0])
 _ZERO = np.array([0.0, 0.0])
 
 
-def _check(shapes, which=()):
-    """Check what the kernels get pointers to: C-contiguous complex128
-    arrays of the given shapes, and indices into their first axis."""
+def _check(shapes, which=(), dtype=np.complex128):
+    """Check what the kernels get pointers to: C-contiguous arrays of
+    ``dtype`` and the given shapes, and indices into their first axis."""
     for a, shape in shapes:
-        if (a.dtype != np.complex128 or not a.flags.c_contiguous
-                or a.shape != shape):
-            raise ValueError(f"expected a C-contiguous complex128 array of "
-                             f"shape {shape}; got {a.dtype} {a.shape}")
+        if a.dtype != dtype or not a.flags.c_contiguous or a.shape != shape:
+            raise ValueError(f"expected a C-contiguous {np.dtype(dtype)} array "
+                             f"of shape {shape}; got {a.dtype} {a.shape}")
     if len(which) and not 0 <= min(which) <= max(which) < shapes[0][1][0]:
         raise ValueError("index out of range")
+
+
+def _blocks(n):
+    """(start, stop) of each block of columns ``spd_cholesky`` factors."""
+    return [(k, min(k + _FACTOR_BLOCK, n)) for k in range(0, n, _FACTOR_BLOCK)]
 
 
 @functools.cache
@@ -65,26 +79,36 @@ def numpy_openblas():
 
 
 class Kernels:
-    """Per-matrix zgemm, zpotrf and zpotrs of numpy's OpenBLAS.
+    """Per-matrix zgemm, zpotrf and zpotrs of numpy's OpenBLAS, and its
+    dpotrf, dtrsm, dsyrk and dtrsv for one real symmetric matrix.
 
-    Each method loops over the leading axis of C-contiguous complex128
-    arrays and makes one call per matrix.
+    Each complex method loops over the leading axis of C-contiguous
+    complex128 arrays and makes one call per matrix.
     """
 
     def __init__(self, lib):
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        i64, ptr, dbl, enum = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_double,
+                               ctypes.c_int)
         self._zgemm = lib.scipy_cblas_zgemm64_
-        self._zgemm.argtypes = [ctypes.c_int] * 3 + [i64] * 3 + [
+        self._zgemm.argtypes = [enum] * 3 + [i64] * 3 + [
             ptr, ptr, i64, ptr, i64, ptr, ptr, i64]
-        self._zgemm.restype = None
+        self._dtrsm = lib.scipy_cblas_dtrsm64_
+        self._dtrsm.argtypes = [enum] * 5 + [i64, i64, dbl, ptr, i64, ptr, i64]
+        self._dsyrk = lib.scipy_cblas_dsyrk64_
+        self._dsyrk.argtypes = [enum] * 3 + [i64, i64, dbl, ptr, i64, dbl, ptr, i64]
+        self._dtrsv = lib.scipy_cblas_dtrsv64_
+        self._dtrsv.argtypes = [enum] * 4 + [i64, ptr, i64, ptr, i64]
         # Fortran LAPACK: every argument by reference, then the hidden
         # length of the character argument.
         self._zpotrf = lib.scipy_zpotrf_64_
-        self._zpotrf.argtypes = [ctypes.c_char_p] + [ptr] * 4 + [ctypes.c_size_t]
-        self._zpotrf.restype = None
+        self._dpotrf = lib.scipy_dpotrf_64_
+        for potrf in (self._zpotrf, self._dpotrf):
+            potrf.argtypes = [ctypes.c_char_p] + [ptr] * 4 + [ctypes.c_size_t]
         self._zpotrs = lib.scipy_zpotrs_64_
         self._zpotrs.argtypes = [ctypes.c_char_p] + [ptr] * 7 + [ctypes.c_size_t]
-        self._zpotrs.restype = None
+        for fn in (self._zgemm, self._dtrsm, self._dsyrk, self._dtrsv,
+                   self._zpotrf, self._dpotrf, self._zpotrs):
+            fn.restype = None
 
     def gram(self, m, out):
         """out[i] = m[i] @ m[i]^H for m of shape (b, n, t), out (b, n, n)."""
@@ -137,22 +161,67 @@ class Kernels:
                          r_ptr + i * r_step, dim_p, info_p, 1)
         np.conjugate(rhs, out=rhs)
 
+    def spd_cholesky(self, a):
+        """Factor the symmetric positive definite float64 a (n, n) in place,
+        one ``_FACTOR_BLOCK``-column block at a time: a = U^T U with U in
+        the upper triangle (LAPACK's lower factor of the column-major
+        view). Returns False, with ``a`` partly overwritten, when a is not
+        positive definite. The strict lower triangle is left as it was.
+        """
+        n = a.shape[0]
+        _check([(a, (n, n))], dtype=np.float64)
+        dim, ld, info = ctypes.c_int64(0), ctypes.c_int64(n), ctypes.c_int64(0)
+        dim_p, ld_p, info_p = (ctypes.addressof(dim), ctypes.addressof(ld),
+                               ctypes.addressof(info))
+        row, item = a.strides
+        for k, stop in _blocks(n):
+            width, rest = stop - k, n - stop
+            diag = a.ctypes.data + k * (row + item)      # a[k:stop, k:stop]
+            dim.value = width
+            self._dpotrf(b"L", dim_p, diag, ld_p, info_p, 1)
+            if info.value != 0:
+                return False
+            if rest:
+                right = diag + width * item              # a[k:stop, stop:]
+                # U[k:stop, stop:] = U[k:stop, k:stop]^-T a[k:stop, stop:]
+                self._dtrsm(_ROW_MAJOR, _LEFT, _UPPER, _TRANS, _NON_UNIT,
+                            width, rest, 1.0, diag, n, right, n)
+                # a[stop:, stop:] -= U[k:stop, stop:]^T U[k:stop, stop:]
+                self._dsyrk(_ROW_MAJOR, _UPPER, _TRANS, rest, width, -1.0,
+                            right, n, 1.0, diag + width * (row + item), n)
+        return True
+
+    def spd_solve(self, factor, b):
+        """Overwrite b (shape (n,)) with A^-1 b, A = U^T U the matrix
+        ``spd_cholesky`` factored into ``factor``: U^T y = b, then U x = y.
+        Level-2 solves touch none of OpenBLAS's level-3 buffers."""
+        n = factor.shape[0]
+        _check([(factor, (n, n)), (b, (n,))], dtype=np.float64)
+        for trans in (_TRANS, _NO_TRANS):
+            self._dtrsv(_ROW_MAJOR, _UPPER, trans, _NON_UNIT, n,
+                        factor.ctypes.data, n, b.ctypes.data, 1)
+
 
 class ScipyKernels:
-    """``Kernels``' methods on numpy's matmul and scipy's LAPACK wrappers.
-    The wrappers get the transposed views of the checked C-contiguous
-    matrices, so they overwrite in place the memory ``Kernels`` would."""
+    """``Kernels``' methods on numpy's matmul and scipy's BLAS and LAPACK
+    wrappers, imported on first use. The wrappers get the transposed views
+    of the checked C-contiguous matrices, so they overwrite in place the
+    memory ``Kernels`` would."""
 
     def gram(self, m, out):
         np.matmul(m, np.swapaxes(np.conj(m), 1, 2), out=out)
 
     def cholesky(self, a, which):
+        from scipy.linalg import lapack
+
         b, n = a.shape[:2]
         _check([(a, (b, n, n))], which)
         return np.array([lapack.zpotrf(a[i].T, overwrite_a=True, clean=False)[1] == 0
                          for i in which.tolist()], dtype=bool)
 
     def solve(self, factor, rhs, which):
+        from scipy.linalg import lapack
+
         b, n = factor.shape[:2]
         _check([(factor, (b, n, n)), (rhs, (b, n, 1))], which)
         np.conjugate(rhs, out=rhs)
@@ -160,12 +229,38 @@ class ScipyKernels:
             lapack.zpotrs(factor[i].T, rhs[i], overwrite_b=True)
         np.conjugate(rhs, out=rhs)
 
+    def spd_cholesky(self, a):
+        from scipy.linalg import blas, lapack
+
+        n = a.shape[0]
+        _check([(a, (n, n))], dtype=np.float64)
+        f = a.T          # column-major view; the factor is its lower triangle
+        for k, stop in _blocks(n):
+            diag, info = lapack.dpotrf(f[k:stop, k:stop], lower=True, clean=False)
+            if info != 0:
+                return False
+            f[k:stop, k:stop] = diag
+            if stop < n:
+                f[stop:, k:stop] = blas.dtrsm(1.0, diag, f[stop:, k:stop],
+                                              side=1, lower=True, trans_a=True)
+                f[stop:, stop:] = blas.dsyrk(-1.0, f[stop:, k:stop], beta=1.0,
+                                             c=f[stop:, stop:], lower=True)
+        return True
+
+    def spd_solve(self, factor, b):
+        from scipy.linalg import blas
+
+        n = factor.shape[0]
+        _check([(factor, (n, n)), (b, (n,))], dtype=np.float64)
+        f = factor.T     # column-major view; L = U^T in its lower triangle
+        b[:] = blas.dtrsv(f, blas.dtrsv(f, b, lower=True), lower=True, trans=1)
+
 
 @functools.cache
 def numpy_kernels():
-    """The solver's kernels: on numpy's OpenBLAS, bound on first use, or
-    ``ScipyKernels`` when numpy does not bundle OpenBLAS or it lacks a
-    symbol."""
+    """The kernels of the solver and of the 512-tap SDR: on numpy's
+    OpenBLAS, bound on first use, or ``ScipyKernels`` when numpy does not
+    bundle OpenBLAS or it lacks a symbol."""
     lib = _numpy_openblas_lib()
     if lib is not None:
         try:

@@ -8,15 +8,20 @@ pair of length ``est.size + ref.size``: the reference spectrum R and the
 cross spectrum E conj(R). That length is at least 2N - 1, so the circular
 correlations they give are the linear ones. ``evaluate_pair`` builds the
 pair once and scores all three metrics from it: 2 forward and 3 inverse
-FFTs. A ``Reference`` keeps R and the autocorrelation for the pairs that
-share a reference, so each further pair takes 3 FFTs.
+FFTs. The 512-tap SDR solves its Toeplitz normal equations by a blocked
+Cholesky factor on numpy's OpenBLAS (``_blas.Kernels.spd_cholesky``), whose
+bits do not depend on the OpenBLAS thread count. A ``Reference`` keeps R
+and that factor for the pairs that share a reference, so each further pair
+takes 3 FFTs and one pair of triangular solves. Importing this module
+loads no scipy module.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_toeplitz, toeplitz
+
+from . import _blas
 
 DB_CAP = 300.0
 SDR_TAPS = 512
@@ -81,27 +86,59 @@ def _autocorrelation(n, spec_ref, n_taps):
     return np.fft.irfft(power, n=n)[:n_taps]
 
 
-def _sdr_from_spectra(est, n, spec_ref, cross, n_taps, load, r=None):
-    """sdr_512 of a pair validated for ``n_taps``, from ``_spectra``; ``r``
-    is the reference autocorrelation, computed here if not given."""
-    if r is None:
-        r = _autocorrelation(n, spec_ref, n_taps)
-    if r[0] <= 0.0:
-        raise ValueError("reference is all zero")
-    b = np.fft.irfft(cross, n=n)[:n_taps]
+def _toeplitz(r):
+    """The symmetric Toeplitz matrix whose first column is ``r``."""
+    col = np.concatenate([r[:0:-1], r])     # col[n - 1 + k] = r[|k|]
+    return np.lib.stride_tricks.sliding_window_view(col, r.size)[::-1].copy()
 
-    col = r.copy()
-    col[0] += load * r[0]
-    try:
-        coef = solve_toeplitz(col, b)
-    except np.linalg.LinAlgError:
-        _log.warning("sdr_512: Toeplitz solve failed; falling back to lstsq "
-                     "on the %d-tap normal equations", n_taps)
-        gram = toeplitz(col)
-        coef = np.linalg.lstsq(gram, b, rcond=None)[0]
+
+class _NormalEquations:
+    """The ``r.size``-tap normal equations of one reference, whose
+    autocorrelation is ``r``: the Cholesky factor of their Toeplitz matrix
+    with ``load`` relative diagonal loading, computed once. If the factor
+    fails, one warning is logged and every solve falls back to ``lstsq`` on
+    the loaded matrix."""
+
+    def __init__(self, r, load):
+        if r[0] <= 0.0:
+            raise ValueError("reference is all zero")
+        self.r = r
+        self._diagonal = r[0] + load * r[0]
+        self._kernels = _blas.numpy_kernels()
+        self._factor = self._loaded()
+        if not self._kernels.spd_cholesky(self._factor):
+            _log.warning("sdr_512: Cholesky factor failed; falling back to "
+                         "lstsq on the %d-tap normal equations", r.size)
+            self._factor = None
+
+    def _loaded(self):
+        loaded = _toeplitz(self.r)
+        np.fill_diagonal(loaded, self._diagonal)
+        return loaded
+
+    def solve(self, b):
+        if self._factor is None:
+            return np.linalg.lstsq(self._loaded(), b, rcond=None)[0]
+        coef = b.copy()
+        self._kernels.spd_solve(self._factor, coef)
+        return coef
+
+    def energy(self, coef):
+        """coef^T T coef for T the unloaded Toeplitz matrix of ``r``: the
+        energy of ``coef`` convolved with the reference, from r and the
+        autocorrelation of ``coef``, without forming T."""
+        acf = np.correlate(coef, coef, "full")[coef.size - 1:]
+        return float(self.r[0] * acf[0] + 2.0 * (self.r[1:] @ acf[1:]))
+
+
+def _sdr_from_spectra(est, n, cross, normal):
+    """sdr_512 of a pair validated for ``normal``'s tap count, from
+    ``_spectra``'s length and cross spectrum."""
+    b = np.fft.irfft(cross, n=n)[:normal.r.size]
+    coef = normal.solve(b)
 
     # energies from the quadratic form; the projection itself is never built
-    proj_energy = float(coef @ (toeplitz(r) @ coef))
+    proj_energy = normal.energy(coef)
     est_energy = float(np.dot(est, est))
     resid_energy = max(est_energy - 2.0 * float(coef @ b) + proj_energy, 0.0)
     if resid_energy <= 1e-12 * est_energy:
@@ -119,11 +156,14 @@ def sdr_512(est, ref, n_taps=SDR_TAPS, load=_SDR_LOAD):
     artifact/interference split. The 1-tap projection is a subspace of this
     one, so sdr_512 >= si_sdr on any pair. Residuals at numerical-noise
     level (below 1e-12 of the estimate energy) count as zero and hit the
-    +300 sentinel. If the Toeplitz solve fails, the normal equations are
-    solved by ``lstsq`` and a warning is logged.
+    +300 sentinel. If the Cholesky factor of the loaded normal matrix
+    fails, the normal equations are solved by ``lstsq`` and a warning is
+    logged.
     """
     est, ref = _check_pair(est, ref, min_len=n_taps)
-    return _sdr_from_spectra(est, *_spectra(est, ref), n_taps, load)
+    n, spec_ref, cross = _spectra(est, ref)
+    normal = _NormalEquations(_autocorrelation(n, spec_ref, n_taps), load)
+    return _sdr_from_spectra(est, n, cross, normal)
 
 
 def _check_gcc(est, ref, max_lag):
@@ -179,13 +219,14 @@ class Reference:
 
     ``score(est, max_lag)`` equals ``evaluate_pair(est, ref, max_lag)``,
     errors and their order included. The reference spectrum and the
-    autocorrelation are computed on the first score that gets that far and
-    reused, so each further pair takes 3 FFTs instead of 5.
+    factored normal equations are computed on the first score that gets
+    that far and reused, so each further pair takes 3 FFTs instead of 5
+    and no new factor.
     """
 
     def __init__(self, ref):
         self.ref = ref
-        self._spectrum = None      # (n, R, autocorrelation) once computed
+        self._spectrum = None      # (n, R, _NormalEquations) once computed
 
     def score(self, est, max_lag=512):
         si = si_sdr(est, self.ref)
@@ -193,10 +234,12 @@ class Reference:
         if self._spectrum is None:
             n = est.size + ref.size
             spec_ref = np.fft.rfft(ref, n=n)
-            self._spectrum = n, spec_ref, _autocorrelation(n, spec_ref, SDR_TAPS)
-        n, spec_ref, r = self._spectrum
+            normal = _NormalEquations(_autocorrelation(n, spec_ref, SDR_TAPS),
+                                      _SDR_LOAD)
+            self._spectrum = n, spec_ref, normal
+        n, spec_ref, normal = self._spectrum
         cross = np.fft.rfft(est, n=n) * np.conj(spec_ref)
-        sdr = _sdr_from_spectra(est, n, spec_ref, cross, SDR_TAPS, _SDR_LOAD, r)
+        sdr = _sdr_from_spectra(est, n, cross, normal)
         _check_gcc(est, ref, max_lag)
         return MetricsReport(si_sdr=si, sdr_512=sdr,
                              gcc_phat_delay=_gcc_from_cross(cross, n, max_lag))

@@ -179,15 +179,19 @@ def synthesize(spec, length):
     frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.window_len]
     frames = frames * cfg.window
 
+    # Overlap-add on rows of one hop: frame t adds its j-th hop to row t + j.
+    # Adding j = overlap - 1 first sums each sample's frames in ascending
+    # frame order, as a loop over the frames would.
     pad_left = cfg.window_len - cfg.hop
     total = (n_frames - 1) * cfg.hop + cfg.window_len
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    wsq = cfg.window ** 2
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[start:start + cfg.window_len] += frames[t]
-        wsum[start:start + cfg.window_len] += wsq
+    hops = frames.reshape(n_frames, cfg.overlap, cfg.hop)
+    wsq = (cfg.window ** 2).reshape(cfg.overlap, cfg.hop)
+    out = np.zeros((n_frames + cfg.overlap - 1, cfg.hop))
+    wsum = np.zeros_like(out)
+    for j in reversed(range(cfg.overlap)):
+        out[j:j + n_frames] += hops[:, j]
+        wsum[j:j + n_frames] += wsq[j]
+    out, wsum = out.reshape(total), wsum.reshape(total)
 
     good = wsum > 1e-10 * wsum.max() if wsum.max() > 0 else wsum > 0
     out[good] /= wsum[good]

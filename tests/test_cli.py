@@ -911,24 +911,28 @@ def test_any_sweep_exits_with_a_documented_code(duo_1s, odd_dir, data):
 
 _FRESH_PROCESS = """
 import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 from dereverb.cli import main
-seen = ["scipy.signal" in sys.modules]
+seen = [scipy_modules()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        seen.append([main(argv), "scipy.signal" in sys.modules])
+        seen.append([main(argv), scipy_modules()])
 print(json.dumps(seen))
 """
 
 
-def test_dereverb_and_evaluate_processes_never_import_scipy_signal(scene_dir,
-                                                                    tmp_path):
-    """scipy.signal costs most of a CLI process's start-up and only scene
-    rendering needs it: a fresh interpreter that imports the CLI and runs
-    dereverb and evaluate never loads it; simulate does."""
+def test_dereverb_and_evaluate_processes_never_import_scipy(scene_dir, tmp_path):
+    """Importing scipy costs more than a CLI process's work on one 4 s
+    scene, and only scene rendering needs it: a fresh interpreter that
+    imports the CLI and runs dereverb and evaluate loads no scipy module;
+    simulate loads scipy.signal."""
     mix, ref = str(scene_dir / "y.wav"), str(scene_dir / "s.wav")
     runs = [
         ["dereverb", "--mixture", mix, "--reference", ref, "--algorithm", "fcp",
-         "--output", str(tmp_path / "e.wav")],
+         "--output", str(tmp_path / "e.wav"), "--report", str(tmp_path / "r.json")],
         ["evaluate", "--estimate", str(tmp_path / "e.wav"), "--reference", ref],
         ["simulate", "--out-dir", str(tmp_path / "sim"), "--sample-rate",
          "8000", "--duration-s", "0.5"],
@@ -939,8 +943,9 @@ def test_dereverb_and_evaluate_processes_never_import_scipy_signal(scene_dir,
     done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [False, [EXIT_OK, False], [EXIT_OK, False],
-                                       [EXIT_OK, True]]
+    seen = json.loads(done.stdout)
+    assert seen[:3] == [[], [EXIT_OK, []], [EXIT_OK, []]]
+    assert seen[3][0] == EXIT_OK and "scipy.signal" in seen[3][1]
 
 
 # ---------------------------------------------------------------------------

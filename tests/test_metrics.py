@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 import dereverb
-from dereverb import (RirSpec, StftConfig, analyze, degrade, evaluate_pair,
-                     fcp, gcc_phat_delay, gen_rir, metrics, render_scene,
-                     sdr_512, si_sdr, synth_speech, synthesize)
+from dereverb import (RirSpec, StftConfig, _blas, analyze, degrade,
+                     evaluate_pair, fcp, gcc_phat_delay, gen_rir, metrics,
+                     render_scene, sdr_512, si_sdr, synth_speech, synthesize)
 from dereverb.metrics import DB_CAP
 
 
@@ -333,19 +333,104 @@ def test_shared_reference_raises_as_evaluate_pair(ref, case):
         shared.score(est, max_lag)
 
 
+def spd_providers():
+    """The scipy-wrapper kernels, and numpy's OpenBLAS kernels when numpy
+    bundles it."""
+    kernels = _blas.numpy_kernels()
+    return [_blas.ScipyKernels()] + (
+        [kernels] if isinstance(kernels, _blas.Kernels) else [])
+
+
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 97, 512])
+def test_spd_factor_and_solve_on_either_provider(ref, n):
+    """Each provider's blocked factor is U^T U = A in its upper triangle,
+    leaves the strict lower triangle as it was, and solves A x = b; a
+    matrix that is not positive definite reports False."""
+    r = np.correlate(ref[:2048], ref[:2048], "full")[2047:2047 + n]
+    a = metrics._toeplitz(r)
+    a[np.diag_indices(n)] *= 1.0 + 1e-6
+    b = np.random.default_rng(n).standard_normal(n)
+    upper = np.linalg.cholesky(a).T
+    for kernels in spd_providers():
+        factor = a.copy()
+        assert kernels.spd_cholesky(factor)
+        np.testing.assert_allclose(np.triu(factor), upper, rtol=0,
+                                   atol=1e-12 * np.abs(upper).max())
+        assert np.array_equal(np.tril(factor, -1), np.tril(a, -1))
+        x = b.copy()
+        kernels.spd_solve(factor, x)
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-8)
+        indefinite = a.copy()
+        indefinite[-1, -1] = -1.0
+        assert not kernels.spd_cholesky(indefinite)
+
+
+def test_sdr_512_on_either_provider_agrees(ref, monkeypatch):
+    est = np.roll(ref, 3) + 0.3 * ref
+    values = []
+    for kernels in spd_providers():
+        monkeypatch.setattr(_blas, "numpy_kernels", lambda: kernels)
+        values.append(sdr_512(est, ref))
+    assert max(values) - min(values) <= 1e-9
+
+
+def test_sdr_512_bits_do_not_depend_on_blas_threads(ref):
+    """The library (the caller's OpenBLAS threads) and the CLI (one thread)
+    score a pair to the same bits: the factor and its solves do the same
+    arithmetic on 1 and 2 threads. A whole-matrix dpotrf would not."""
+    blas = _blas.numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get_threads, set_threads = blas
+    rng = np.random.default_rng(7)
+    est = (np.convolve(ref, [1.0, 0.4, -0.2])[:ref.size]
+           + 0.1 * rng.standard_normal(ref.size))
+    n, spec_ref, cross = metrics._spectra(est, ref)
+    r = metrics._autocorrelation(n, spec_ref, metrics.SDR_TAPS)
+    b = np.fft.irfft(cross, n=n)[:metrics.SDR_TAPS]
+    previous = get_threads()
+    runs = []
+    try:
+        for threads in (1, 2, 1, 2):
+            set_threads(threads)
+            normal = metrics._NormalEquations(r, metrics._SDR_LOAD)
+            scores = sdr_512(est, ref), metrics.Reference(ref).score(est).sdr_512
+            runs.append((normal._factor.tobytes(), normal.solve(b).tobytes(),
+                         *(np.float64(v).tobytes() for v in scores)))
+    finally:
+        set_threads(previous)
+    assert get_threads() == previous
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][2] == runs[0][3]
+
+
 # ---------------------------------------------------------------------------
 # fallbacks leave a record
 
-def _failing_solve_toeplitz(*args, **kwargs):
-    raise np.linalg.LinAlgError("forced")
+class FailingFactor:
+    """A kernel provider whose ``spd_cholesky`` always reports a matrix
+    that is not positive definite, recording each call."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.calls = 0
+
+    def spd_cholesky(self, a):
+        self.calls += 1
+        return False
+
+    def __getattr__(self, name):
+        return getattr(self.kernels, name)
 
 
 def test_sdr_512_lstsq_fallback_logs_one_warning(ref, monkeypatch, caplog):
     est = ref + 0.5 * np.roll(ref, 5)
     expected = sdr_512(est, ref)
-    monkeypatch.setattr(metrics, "solve_toeplitz", _failing_solve_toeplitz)
+    failing = FailingFactor(_blas.numpy_kernels())
+    monkeypatch.setattr(_blas, "numpy_kernels", lambda: failing)
     with caplog.at_level(logging.WARNING, logger="dereverb"):
         value = sdr_512(est, ref)
+    assert failing.calls == 1
     records = [r for r in caplog.records if r.name == "dereverb.metrics"]
     assert [r.levelno for r in records] == [logging.WARNING]
     assert "lstsq" in records[0].getMessage()
@@ -357,14 +442,23 @@ def test_fallback_warnings_print_nothing_without_logging_configured():
     from printing the fallback warnings to stderr."""
     script = """
 import numpy as np
-from dereverb import metrics, solve_wls
+from dereverb import _blas, metrics, solve_wls
 
-def fail(*args, **kwargs):
-    raise np.linalg.LinAlgError("forced")
+kernels = _blas.numpy_kernels()
+failed = []
 
-metrics.solve_toeplitz = fail
+class FailingFactor:
+    def spd_cholesky(self, a):
+        failed.append(a.shape)
+        return False
+
+    def __getattr__(self, name):
+        return getattr(kernels, name)
+
+_blas.numpy_kernels = FailingFactor
 ref = np.random.default_rng(0).standard_normal(1024)
 metrics.sdr_512(ref + 0.1, ref)
+assert failed == [(512, 512)], failed
 z = np.ones((8, 2), complex)
 z[:, 1] = 0.0
 z[-1, 1] = 1.0

@@ -137,3 +137,37 @@ def test_synthesize_pads_beyond_covered_span(cfg8k):
     longer = synthesize(spec, 3000)
     np.testing.assert_allclose(longer[:1000], x, atol=1e-9)
     assert np.all(np.abs(longer[1200:]) < 1e-9)
+
+
+def loop_synthesize(spec, length):
+    """synthesize with the overlap-add as a loop over the frames."""
+    cfg = spec.config
+    frames = np.fft.irfft(spec.data, n=cfg.fft_size, axis=1)[:, :cfg.window_len]
+    frames = frames * cfg.window
+    total = (spec.frames - 1) * cfg.hop + cfg.window_len
+    out, wsum = np.zeros(total), np.zeros(total)
+    for t in range(spec.frames):
+        out[t * cfg.hop:t * cfg.hop + cfg.window_len] += frames[t]
+        wsum[t * cfg.hop:t * cfg.hop + cfg.window_len] += cfg.window ** 2
+    good = wsum > 1e-10 * wsum.max() if wsum.max() > 0 else wsum > 0
+    out[good] /= wsum[good]
+    out[~good] = 0.0
+    result = np.zeros(length)
+    pad_left = cfg.window_len - cfg.hop
+    n_copy = min(length, total - pad_left)
+    result[:n_copy] = out[pad_left:pad_left + n_copy]
+    return result
+
+
+@pytest.mark.parametrize("fs", [8000, 16000])
+@pytest.mark.parametrize("n", [1, 63, 4000, 4 * 16000 + 37])
+def test_synthesize_equals_frame_loop(fs, n):
+    """The strided overlap-add sums each sample's frames in the loop's
+    order, so the two are bit-identical, also on a modified spectrogram."""
+    cfg = StftConfig.for_rate(fs)
+    rng = np.random.default_rng(n)
+    spec = analyze(rng.standard_normal(n), cfg)
+    spec = spec.with_data(spec.data * rng.uniform(0.5, 1.5, spec.data.shape))
+    for length in (n, n + 300, max(n - 10, 0)):
+        np.testing.assert_array_equal(synthesize(spec, length),
+                                      loop_synthesize(spec, length))
