@@ -17,6 +17,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -866,9 +867,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
     """One subcommand per command, one flag per setting it takes (SETTINGS),
-    and --config for a JSON file of settings unless a setting takes it."""
+    and --config for a JSON file of settings unless a setting takes it.
+    Built once per process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="dereverb",
         description="Monaural dereverberation toolkit: simulate scenes, run "

@@ -10,10 +10,10 @@ three triangular solves each, through one kernel interface: numpy's OpenBLAS
 (``_blas.ScipyKernels``). A bin that does not factor gets lstsq's answer.
 When numpy's OpenBLAS runs on one thread, ``solve_wls`` and ``apply_filter``
 split the bins into one contiguous range per core and run each range on a
-thread pool that lives for that call only; every bin goes through the same
-calls on the same data as on one thread, so the results are bit-identical.
-There is no shared mutable state, so everything here is safe to call
-concurrently.
+thread pool that lives for that call only, in buffers and outputs allocated
+on the calling thread; every bin goes through the same calls on the same
+data as on one thread, so the results are bit-identical. There is no shared
+mutable state, so everything here is safe to call concurrently.
 
 Conventions:
     The K-frame stack of a signal z is
@@ -28,6 +28,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,7 +179,9 @@ def build_stack(z, taps, delay):
 
 
 def apply_filter(filters, z):
-    """Prediction g^H z_tilde(t - delay) for every frame and bin.
+    """Prediction g^H z_tilde(t - delay) for every frame and bin. Each
+    worker writes its bins' products straight into the (T, F) result, so the
+    only other full-size array is the stack's padded copy of z.
 
     Args:
         filters: FilterBank.
@@ -189,10 +192,11 @@ def apply_filter(filters, z):
     """
     stack = build_stack(z, filters.taps, filters.delay)  # (F, T, K)
     g = np.conj(filters.filters)[:, :, None]
-    pred = np.empty((stack.shape[0], stack.shape[1], 1), dtype=np.complex128)
-    _over_bins(stack.shape[0], lambda lo, hi, _: np.matmul(
-        stack[lo:hi], g[lo:hi], out=pred[lo:hi]))
-    return np.ascontiguousarray(pred[:, :, 0].T)
+    pred = np.empty(stack.shape[1::-1], dtype=np.complex128)
+    out = pred.T[:, :, None]                             # (F, T, 1) view
+    _over_bins(_bin_ranges(stack.shape[0]), lambda lo, hi: np.matmul(
+        stack[lo:hi], g[lo:hi], out=out[lo:hi]))
+    return pred
 
 
 # Bins buffered at a time by all workers of solve_wls together, and the most
@@ -215,25 +219,40 @@ def _bin_workers(n_bins):
     return min(len(os.sched_getaffinity(0)), _BIN_BLOCK, n_bins)
 
 
-def _over_bins(n_bins, run):
-    """Call run(lo, hi, block) on one contiguous bin range per worker and
-    return the results in bin order.
-
-    block is the number of bins the worker may buffer at a time, so the
-    workers together buffer _BIN_BLOCK bins. The calling thread takes the
-    first range; the others run on a pool that lives for this call only.
-    With one worker this is run(0, n_bins, _BIN_BLOCK) on the calling
-    thread.
-    """
+def _bin_ranges(n_bins):
+    """One contiguous (lo, hi) bin range per worker."""
     workers = _bin_workers(n_bins)
-    if workers <= 1:
-        return [run(0, n_bins, _BIN_BLOCK)]
-    block = _BIN_BLOCK // workers
     edges = [n_bins * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(run, lo, hi, block)
-                for lo, hi in zip(edges[1:-1], edges[2:])]
-        first = run(edges[0], edges[1], block)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class _Workspace(NamedTuple):
+    """One bin worker's buffers for blocks of up to ``block`` bins, with
+    n_cols = T - delay frames."""
+
+    aug: np.ndarray         # (block, K+1, n_cols) augmented stack M
+    products: np.ndarray    # (block, K+1, K+1) M @ M^H
+    factors: np.ndarray     # (block, K, K) Cholesky factors
+    zp: np.ndarray          # (block, K-1 + n_cols) zero-padded stack source
+    sqrt_inv_w: np.ndarray  # (block, n_cols) 1 / sqrt(weights)
+
+    @classmethod
+    def allocate(cls, block, taps, n_cols):
+        return cls(np.empty((block, taps + 1, n_cols), dtype=np.complex128),
+                   np.empty((block, taps + 1, taps + 1), dtype=np.complex128),
+                   np.empty((block, taps, taps), dtype=np.complex128),
+                   np.zeros((block, taps - 1 + n_cols), dtype=np.complex128),
+                   np.empty((block, n_cols)))
+
+
+def _over_bins(jobs, run):
+    """run(*job) for each job, in job order: the first on the calling
+    thread, the others on a pool that lives for this call only."""
+    if len(jobs) == 1:
+        return [run(*jobs[0])]
+    with ThreadPoolExecutor(len(jobs) - 1) as pool:
+        rest = [pool.submit(run, *job) for job in jobs[1:]]
+        first = run(*jobs[0])
         return [first] + [future.result() for future in rest]
 
 
@@ -261,43 +280,39 @@ def _cholesky_solve(kernels, gram, rhs, live, factor):
     return sol, len(failed)
 
 
-def _solve_range(z, d, taps, delay, w, diag_load, block):
-    """solve_wls's filters for validated inputs, in blocks of ``block``
-    bins; returns an (F, K) array and the number of bins that fell back to
-    lstsq.
+def _solve_range(z, d, w, lo, hi, taps, delay, diag_load, filters, work):
+    """Fill filters[lo:hi] with solve_wls's filters of bins lo .. hi-1 for
+    validated inputs, in blocks of as many bins as the _Workspace ``work``
+    holds; returns the number of bins that fell back to lstsq.
 
     Row k < K of the (K+1, T - delay) matrix M of bin f holds
     z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
     d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
     left out. M @ M^H is [[R, r], [r^H, e]]: the Gram matrix R and the
-    right-hand side r of the normal equations. Each block fills M once,
-    multiplies it into a block-sized Gram buffer (``kernels.gram``), loads
-    the diagonal in place, raising FloatingPointError if the loading
-    overflows, and solves (``_cholesky_solve``).
+    right-hand side r of the normal equations. Each block copies its bins of
+    z and of the weights into ``work``, fills M once, multiplies it into a
+    block-sized Gram buffer (``kernels.gram``), loads the diagonal in
+    place, raising FloatingPointError if the loading overflows, and solves
+    (``_cholesky_solve``). Nothing allocated here grows with T.
     """
-    n_frames, n_bins = z.shape
-    n_cols = n_frames - delay
-    filters = np.zeros((n_bins, taps), dtype=np.complex128)
-    if n_cols <= 0:
-        return filters, 0
+    n_cols = z.shape[0] - delay
     kernels = _blas.numpy_kernels()
-    # zp[f, taps - 1 + j] = z(j, f), so row k of M is zp[f, taps-1-k : taps-1-k+n_cols]
-    zp = np.zeros((n_bins, taps - 1 + n_cols), dtype=np.complex128)
-    zp[:, taps - 1:] = z[:n_cols].T
-    sqrt_inv_w = np.sqrt(1.0 / w[delay:].T)        # (F, n_cols)
-    d_t = d[delay:].T
-    block = min(block, n_bins)
-    aug = np.empty((block, taps + 1, n_cols), dtype=np.complex128)
-    products = np.empty((block, taps + 1, taps + 1), dtype=np.complex128)
-    factors = np.empty((block, taps, taps), dtype=np.complex128)
+    block = len(work.aug)
     n_failed = 0
-    for lo in range(0, n_bins, block):
-        hi = min(lo + block, n_bins)
-        m, full = aug[:hi - lo], products[:hi - lo]
+    for start in range(lo, hi, block):
+        stop = min(start + block, hi)
+        b = stop - start
+        m, full, zp, sqrt_inv_w = (work.aug[:b], work.products[:b], work.zp[:b],
+                                   work.sqrt_inv_w[:b])
+        # zp[i, taps - 1 + j] = z(j, start + i), so row k of M is
+        # zp[i, taps-1-k : taps-1-k+n_cols]; the first taps - 1 columns stay 0
+        zp[:, taps - 1:] = z[:n_cols, start:stop].T
+        np.divide(1.0, w[delay:, start:stop].T, out=sqrt_inv_w)
+        np.sqrt(sqrt_inv_w, out=sqrt_inv_w)
         shifted = np.lib.stride_tricks.sliding_window_view(
-            zp[lo:hi], n_cols, axis=1)[:, ::-1]      # (b, K, n_cols)
-        np.multiply(shifted, sqrt_inv_w[lo:hi, None, :], out=m[:, :taps])
-        np.multiply(d_t[lo:hi], sqrt_inv_w[lo:hi], out=m[:, taps])
+            zp, n_cols, axis=1)[:, ::-1]            # (b, K, n_cols)
+        np.multiply(shifted, sqrt_inv_w[:, None, :], out=m[:, :taps])
+        np.multiply(d[delay:, start:stop].T, sqrt_inv_w, out=m[:, taps])
         kernels.gram(m, full)
         gram = full[:, :taps, :taps]                # (b, K, K)
         rhs = full[:, :taps, taps:]                 # (b, K, 1)
@@ -311,11 +326,11 @@ def _solve_range(z, d, taps, delay, w, diag_load, block):
             if not np.all(np.isfinite(load)):
                 raise FloatingPointError(
                     f"the diagonal loading overflows with diag_load {diag_load:g}")
-            full.reshape(hi - lo, -1)[:, :taps * (taps + 2):taps + 2] += load[:, None]
-        sol, failed = _cholesky_solve(kernels, gram, rhs, live, factors[:hi - lo])
-        filters[lo:hi] = sol[:, :, 0]
+            full.reshape(b, -1)[:, :taps * (taps + 2):taps + 2] += load[:, None]
+        sol, failed = _cholesky_solve(kernels, gram, rhs, live, work.factors[:b])
+        filters[start:stop] = sol[:, :, 0]
         n_failed += failed
-    return filters, n_failed
+    return n_failed
 
 
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
@@ -334,13 +349,15 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     The Gram matrix R and right-hand side r of each bin come from one GEMM
     of the augmented stack [A | d] / sqrt(weights) with its conjugate
     transpose, which is [[R, r], [r^H, .]]. The working set is one
-    (_BIN_BLOCK, K+1, T) stack buffer plus (_BIN_BLOCK, K+1, K+1) products
-    and (_BIN_BLOCK, K, K) factors, shared out among the workers, and the
-    (F, K) filters, whatever the number of bins. The kernels run on numpy's
-    OpenBLAS through ctypes, without the GIL; without it, the same calls
-    run on numpy's matmul and scipy's LAPACK wrappers. When numpy's OpenBLAS
-    runs on one thread the bins are split into one contiguous range per
-    core, each solved on its own thread.
+    (_BIN_BLOCK, K+1, T) stack buffer plus (_BIN_BLOCK, K+1, K+1) products,
+    (_BIN_BLOCK, K, K) factors and _BIN_BLOCK rows each of the padded stack
+    source and the weights, shared out among the workers and allocated on
+    the calling thread, and the (F, K) filters, whatever the number of
+    bins. The kernels run on numpy's OpenBLAS through ctypes, without the
+    GIL; without it, the same calls run on numpy's matmul and scipy's
+    LAPACK wrappers. When numpy's OpenBLAS runs on one thread the bins are
+    split into one contiguous range per core, each solved on its own
+    thread.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -373,13 +390,22 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise ValueError("weights must be finite and strictly positive")
 
-    parts = _over_bins(z.shape[1], lambda lo, hi, block: _solve_range(
-        z[:, lo:hi], d[:, lo:hi], taps, delay, w[:, lo:hi], diag_load, block))
-    n_failed = sum(n for _, n in parts)
-    if n_failed:
-        _log.warning("solve_wls: %d of %d bins have a Gram matrix that is not "
-                     "positive definite; solved by lstsq", n_failed, z.shape[1])
-    filters = np.concatenate([filters for filters, _ in parts])
+    n_frames, n_bins = z.shape
+    n_cols = n_frames - delay
+    filters = np.zeros((n_bins, taps), dtype=np.complex128)
+    if n_cols > 0:
+        # Each worker's buffers are allocated here, on the calling thread, so
+        # no worker's malloc arena keeps anything that grows with the input
+        # once the call returns.
+        ranges = _bin_ranges(n_bins)
+        block = _BIN_BLOCK // len(ranges)
+        jobs = [(lo, hi, _Workspace.allocate(min(block, hi - lo), taps, n_cols))
+                for lo, hi in ranges]
+        n_failed = sum(_over_bins(jobs, lambda lo, hi, work: _solve_range(
+            z, d, w, lo, hi, taps, delay, diag_load, filters, work)))
+        if n_failed:
+            _log.warning("solve_wls: %d of %d bins have a Gram matrix that is "
+                         "not positive definite; solved by lstsq", n_failed, n_bins)
     if not np.all(np.isfinite(filters)):
         raise FloatingPointError(f"solved filters are not finite with diag_load "
                                  f"{diag_load:g}: the loaded Gram matrix overflows")
@@ -484,6 +510,10 @@ def icp(mixture, est, taps=40, weights=None, eps=1.0, diag_load=1e-6):
     return shat, FilterBank(coeffs, 0)
 
 
+# Frames per chunk of FCP's check that its two output forms agree.
+_CHECK_FRAMES = 64
+
+
 def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
     """Forward convolutive prediction: filter the estimate toward the mixture.
 
@@ -511,10 +541,15 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
     bank = solve_wls(s, y, taps, 0, weights, diag_load)
     xhat = apply_filter(bank, s)
 
-    shat = y - (xhat - s)
-    shat_alt = s + (y - xhat)
-    if not np.allclose(shat, shat_alt, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(y).max())):
-        raise FloatingPointError("subtraction and residual forms of the output diverged")
+    shat = np.subtract(xhat, s)
+    np.subtract(y, shat, out=shat)                  # y - (xhat - s)
+    atol = 1e-12 * max(1.0, np.abs(y).max())
+    for lo in range(0, len(y), _CHECK_FRAMES):
+        rows = slice(lo, lo + _CHECK_FRAMES)
+        if not np.allclose(shat[rows], s[rows] + (y[rows] - xhat[rows]),
+                           rtol=1e-12, atol=atol):
+            raise FloatingPointError(
+                "subtraction and residual forms of the output diverged")
 
     coeffs = bank.filters
     dead = _degenerate_bins(s)

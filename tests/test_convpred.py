@@ -1,6 +1,7 @@
 import logging
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,7 +284,8 @@ def solver_paths():
 def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
     """On either kernel provider: the same filters on 1, 2 and 3 workers, the
     singular bin sent to lstsq once per call, and the workers together
-    buffering no more bins than one thread does."""
+    buffering no more bins than one thread does; on any worker count,
+    apply_filter gives each bin's own product g^H z_tilde, bit for bit."""
     z, d, taps, delay, lam = ranged_instance(bins, delay)
     lstsq_calls = []
     lstsq = np.linalg.lstsq
@@ -296,7 +298,7 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
     solve_range = convpred._solve_range
 
     def block_spy(*args):
-        blocks.append(args[-1])
+        blocks.append(len(args[-1].aug))
         return solve_range(*args)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
@@ -307,6 +309,8 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
         one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay, lam,
                              diag_load=0.0).filters
         assert len(lstsq_calls) == 1
+        stack = build_stack(z, taps, delay)
+        per_bin = np.stack([stack[f] @ np.conj(one[f]) for f in range(bins)], axis=1)
         for workers in (2, 3):
             blocks.clear()
             kernels.grams.clear()
@@ -317,9 +321,9 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
             assert len(blocks) * max(blocks) <= _BIN_BLOCK
             # no Gram block outgrows a worker's share
             assert kernels.grams and max(kernels.grams) <= max(blocks)
-            pred = [run_on_workers(monkeypatch, w, apply_filter,
-                                   FilterBank(one, delay), z) for w in (1, workers)]
-            np.testing.assert_array_equal(pred[1], pred[0])
+            for w in (1, workers):
+                np.testing.assert_array_equal(run_on_workers(
+                    monkeypatch, w, apply_filter, FilterBank(one, delay), z), per_bin)
         assert len(lstsq_calls) == 3
         if bins > 1:
             assert np.all(one[0] == 0)
@@ -399,6 +403,71 @@ def test_worker_exception_surfaces_and_pool_is_released(monkeypatch):
     with pytest.raises(Boom):
         run_on_workers(monkeypatch, 2, solve_wls, z, d, taps, delay, lam)
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# working memory
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the most bytes it held allocated at once,
+    under tracemalloc, after one untraced warm-up call."""
+    fn(*args, **kwargs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def long_instance(frames=4000, bins=64):
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    return z, d, rng.uniform(0.5, 2.0, (frames, bins))
+
+
+def test_solver_memory_is_the_workers_buffers(monkeypatch):
+    """On a long problem, solve_wls allocates no more than each worker's
+    (block, K+1, T) stack, products, factors and one block's rows of the
+    padded stack source and the weights, plus its filters and a margin that
+    does not grow with T: no worker copies its whole bin range."""
+    if not isinstance(_blas.numpy_kernels(), _blas.Kernels):
+        pytest.skip("the numpy/scipy fallback's Gram copies each block")
+    z, d, lam = long_instance()
+    (frames, bins), taps, workers = z.shape, 8, 2
+    bank, peak = traced_peak(run_on_workers, monkeypatch, workers, solve_wls,
+                             z, d, taps, 0, lam)
+    block = _BIN_BLOCK // workers
+    assert bins // workers > block         # a worker's range spans blocks
+    complex_items = ((taps + 1) * frames + (taps + 1) ** 2 + taps ** 2
+                     + taps - 1 + frames)
+    buffers = workers * block * (16 * complex_items + 8 * frames)
+    assert peak <= buffers + bank.filters.nbytes + 2 ** 20
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+def test_apply_filter_memory_is_one_padded_copy(monkeypatch, delay):
+    z, _, _ = long_instance()
+    (frames, bins), taps = z.shape, 8
+    bank = FilterBank(np.ones((bins, taps)), delay)
+    pred, peak = traced_peak(run_on_workers, monkeypatch, 2, apply_filter, bank, z)
+    padded = (frames + delay + taps - 1) * bins * 16
+    assert peak <= pred.nbytes + padded + 2 ** 16
+
+
+def test_fcp_memory_is_its_outputs_and_one_padded_copy(monkeypatch):
+    """Beyond its filters, x_hat and output, fcp allocates at most the
+    stack's padded copy of the estimate: no full-size intermediate for the
+    output or for the check that its two forms agree."""
+    y, est, lam = long_instance()
+    (frames, bins), taps = y.shape, 8
+    bank = solve_wls(est, y, taps, 0, lam)
+    monkeypatch.setattr(convpred, "solve_wls", lambda *args, **kwargs: bank)
+    (shat, filters, xhat), peak = traced_peak(fcp, y, est, taps, weights=lam)
+    padded = (frames + taps - 1) * bins * 16
+    assert peak <= shat.nbytes + xhat.nbytes + filters.filters.nbytes + padded + 2 ** 16
 
 
 def test_first_order_optimality():
