@@ -20,8 +20,7 @@ from .convpred import (FilterBank, PredConfig, apply_filter, build_stack, fcp,
 from .metrics import (MetricsReport, evaluate_pair, gcc_phat_delay, sdr_512,
                       si_sdr)
 from .scene import (Rir, RirSpec, Scene, degrade, gen_rir, render_scene,
-                    rir_spec_for_distance, split_rir, strip_late, synth_speech,
-                    target_estimates)
+                    split_rir, strip_late, synth_speech, target_estimates)
 from .stft import ComplexSpectrogram, StftConfig, analyze, sqrt_hann, synthesize
 from .wavio import read_wav, write_wav
 
@@ -33,8 +32,8 @@ __all__ = [
     "ComplexSpectrogram", "FilterBank", "MetricsReport", "PredConfig", "Rir",
     "RirSpec", "Scene", "StftConfig", "analyze", "apply_filter", "build_stack",
     "degrade", "evaluate_pair", "fcp", "gcc_phat_delay", "gen_rir", "icp",
-    "iterate", "lambda_weights", "read_wav", "render_scene",
-    "rir_spec_for_distance", "sdr_512", "si_sdr", "solve_wls", "split_rir",
-    "sqrt_hann", "strip_late", "synth_speech", "synthesize",
-    "target_estimates", "wpe_supplied", "wpe_vanilla", "write_wav",
+    "iterate", "lambda_weights", "read_wav", "render_scene", "sdr_512",
+    "si_sdr", "solve_wls", "split_rir", "sqrt_hann", "strip_late",
+    "synth_speech", "synthesize", "target_estimates", "wpe_supplied",
+    "wpe_vanilla", "write_wav",
 ]

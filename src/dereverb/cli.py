@@ -96,10 +96,6 @@ class ConfigError(ValueError):
     """Invalid configuration or precondition; exits with code 2."""
 
 
-class NumericalError(RuntimeError):
-    """Processing produced non-finite values; exits with code 4."""
-
-
 # ---------------------------------------------------------------------------
 # settings
 
@@ -282,7 +278,7 @@ def _merge_config(args, command):
 
 def _check_finite(x, what):
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what} contains non-finite values")
+        raise FloatingPointError(f"{what} contains non-finite values")
     return x
 
 
@@ -815,9 +811,10 @@ def run_experiment(sweep):
 
 
 def _write_csv(result, path):
+    entry = [k for k, s in SETTINGS.items() if s.sweep == "entry"]
     fields = ["seed", "t60", "snr_db", "estimate_error_snr_db", "algorithm",
-              "taps", "delay", "eps", "source", "si_sdr_unprocessed_db",
-              "si_sdr_db", "sdr_512_db", "gcc_phat_delay", "error"]
+              *entry, "source", "si_sdr_unprocessed_db", "si_sdr_db",
+              "sdr_512_db", "gcc_phat_delay", "error"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
@@ -826,9 +823,7 @@ def _write_csv(result, path):
                 "seed": row["seed"], "t60": row["t60"], "snr_db": row["snr_db"],
                 "estimate_error_snr_db": row["estimate_error_snr_db"],
                 "algorithm": row["algorithm"],
-                "taps": row["settings"].get("taps"),
-                "delay": row["settings"].get("delay"),
-                "eps": row["settings"].get("eps"),
+                **{k: row["settings"].get(k) for k in entry},
                 "error": row["error"],
             }
             if row["metrics"] is None:
@@ -937,16 +932,13 @@ def main(argv=None):
                 json.dump(result, sys.stdout, indent=2, sort_keys=True)
                 sys.stdout.write("\n")
             return EXIT_OK
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
-        except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        except ValueError as exc:
+        except ValueError as exc:               # ConfigError among them
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

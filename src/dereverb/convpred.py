@@ -145,6 +145,9 @@ def lambda_weights(ref_spec, mode, eps):
 
     Returns:
         (T, F) array of strictly positive weights.
+
+    Raises:
+        FloatingPointError: the power overflows.
     """
     specs = [_as_tf(z) for z in (
         ref_spec if isinstance(ref_spec, (list, tuple)) else [ref_spec])]
@@ -158,7 +161,9 @@ def lambda_weights(ref_spec, mode, eps):
         raise ValueError(f"unknown lambda mode {mode!r}")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
-    return _floored_power(sum(np.abs(z) ** 2 for z in specs), eps)
+    with np.errstate(over="ignore"):            # _floored_power raises instead
+        power = sum(np.abs(z) ** 2 for z in specs)
+    return _floored_power(power, eps)
 
 
 def build_stack(z, taps, delay):
@@ -414,6 +419,8 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
 
 def _floored_power(power, eps):
     peak = power.max()
+    if not np.isfinite(peak):
+        raise FloatingPointError("the spectrogram's power overflows")
     if peak == 0.0:
         raise ValueError("all-zero spectrogram: weighting floor undefined")
     return np.maximum(eps * peak, power)
@@ -437,7 +444,8 @@ def wpe_vanilla(mixture, cfg):
         (iters, 2)).
     """
     y = _as_tf(mixture)
-    lam = _floored_power(np.abs(y) ** 2, cfg.eps)
+    with np.errstate(over="ignore"):            # _floored_power raises instead
+        lam = _floored_power(np.abs(y) ** 2, cfg.eps)
     shat = y  # the residual of the previous filter; no filter at first
     filters = None
     trace = np.zeros((cfg.iters, 2))

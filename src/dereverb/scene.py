@@ -18,8 +18,6 @@ import numpy as np
 
 from .stft import analyze
 
-SPEED_OF_SOUND = 343.0
-
 
 @dataclass(frozen=True)
 class RirSpec:
@@ -69,20 +67,6 @@ class RirSpec:
         return int(round(self.early_window_ms * self.sample_rate / 1000.0))
 
 
-def rir_spec_for_distance(distance_m, sample_rate, t60, **kwargs):
-    """Convenience mapping from source distance to delay and gain.
-
-    delay = distance / c, gain = 1 / max(distance, 0.1 m). This is a
-    bookkeeping default for test scenes, not a claim of physical-room
-    equivalence: the parametric model has no geometry.
-    """
-    if distance_m <= 0:
-        raise ValueError("distance_m must be positive")
-    delay = int(round(distance_m * sample_rate / SPEED_OF_SOUND))
-    gain = 1.0 / max(distance_m, 0.1)
-    return RirSpec(sample_rate, t60, direct_delay=delay, direct_gain=gain, **kwargs)
-
-
 @dataclass(frozen=True)
 class Rir:
     """A room impulse response and its direct/early/late partition.
@@ -95,9 +79,9 @@ class Rir:
     peak_index: int
     early_len: int
     sample_rate: int = 0
-    direct: np.ndarray = field(repr=False, default=None)
-    early: np.ndarray = field(repr=False, default=None)
-    late: np.ndarray = field(repr=False, default=None)
+    direct: np.ndarray = field(init=False, repr=False)
+    early: np.ndarray = field(init=False, repr=False)
+    late: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -106,11 +90,10 @@ class Rir:
         if not 0 <= self.peak_index < taps.size:
             raise ValueError("peak_index out of range")
         object.__setattr__(self, "taps", taps)
-        if self.direct is None:
-            d, e, l = _partition(taps, self.peak_index, self.early_len)
-            object.__setattr__(self, "direct", d)
-            object.__setattr__(self, "early", e)
-            object.__setattr__(self, "late", l)
+        d, e, l = _partition(taps, self.peak_index, self.early_len)
+        object.__setattr__(self, "direct", d)
+        object.__setattr__(self, "early", e)
+        object.__setattr__(self, "late", l)
 
 
 def _partition(taps, peak, early_len):

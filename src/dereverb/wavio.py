@@ -10,7 +10,9 @@ WAVE_FORMAT_EXTENSIBLE ``fmt`` chunks, integer PCM of any width and 32- and
 64-bit float, with other chunks skipped whatever their size.
 """
 
+import io
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,69 +28,53 @@ _GUID_TAIL = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xAA\x00\x38\x9B\x71",
               ">": b"\x00\x00\x00\x10\x80\x00\x00\xAA\x00\x38\x9B\x71"}
 
 
-class _Cursor:
-    """A read position in a file's bytes that moves as a file's does: a read
-    past the end returns what is left, a seek may pass the end."""
-
-    def __init__(self, data):
-        self.data, self.pos = data, 0
-
-    def read(self, size):
-        out = self.data[self.pos:self.pos + size]
-        self.pos += len(out)
-        return out
-
-    def seek(self, offset):
-        if self.pos + offset < 0:
-            raise ValueError("seek before the start of the file")
-        self.pos += offset
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-    def skip_chunk(self, end):
-        """Skip a chunk whose id has been read, and its pad byte."""
-        size = self.read(4)
-        if size:
-            size = struct.unpack(end + "I", size)[0]
-            self.seek(size + size % 2)
+def _unpack(f, fmt):
+    return struct.unpack(fmt, f.read(struct.calcsize(fmt)))
 
 
-def _read_fmt(cursor, end):
+def _skip_chunk(f, end):
+    """Skip a chunk whose id has been read, and its pad byte."""
+    size = f.read(4)
+    if size:
+        size = struct.unpack(end + "I", size)[0]
+        f.seek(size + size % 2, io.SEEK_CUR)
+
+
+def _read_fmt(f, end):
     """(format tag, channels, rate, block align, bits per sample) of the
     ``fmt`` chunk whose id has been read."""
-    size = cursor.unpack(end + "I")[0]
+    size = _unpack(f, end + "I")[0]
     if size < 16:
         raise ValueError("fmt chunk shorter than 16 bytes")
-    tag, channels, rate, byte_rate, block_align, bits = cursor.unpack(end + "HHIIHH")
+    tag, channels, rate, byte_rate, block_align, bits = _unpack(f, end + "HHIIHH")
     done = 16
     if tag == _EXTENSIBLE and size >= 18:
-        if cursor.unpack(end + "H")[0] < 22:
+        if _unpack(f, end + "H")[0] < 22:
             raise ValueError("EXTENSIBLE fmt chunk shorter than 40 bytes")
-        guid = cursor.read(22)[6:]
+        guid = f.read(22)[6:]
         done += 24
         if guid.endswith(_GUID_TAIL[end]):
             tag = struct.unpack(end + "I", guid[:4])[0]
     if tag not in (_PCM, _IEEE_FLOAT):
         raise ValueError(f"unknown wave file format {tag:#06x}")
     if size > done:
-        cursor.read(size - done)
-    cursor.seek(size % 2)
+        f.read(size - done)
+    f.seek(size % 2, io.SEEK_CUR)
     if tag == _PCM and byte_rate != rate * block_align:
         raise ValueError(f"byte rate {byte_rate} != sample rate {rate} x "
                          f"block align {block_align}")
     return tag, channels, rate, block_align, bits
 
 
-def _read_data(cursor, end, fmt, rf64_size):
+def _read_data(f, end, fmt, rf64_size):
     """The samples of the ``data`` chunk whose id has been read, in the
     dtype they are stored in (24-bit PCM left-justified in int32); 2-D
     (samples, channels) for more than one channel."""
     if rf64_size is None:
-        size = cursor.unpack(end + "I")[0]
+        size = _unpack(f, end + "I")[0]
     else:
         size = rf64_size            # the chunk's own size field reads 0xFFFFFFFF
-        cursor.read(4)
+        f.read(4)
     tag, channels, _, block_align, bits = fmt
     if channels == 0 or block_align < channels:
         raise ValueError(f"block align {block_align} for {channels} channels")
@@ -110,12 +96,12 @@ def _read_data(cursor, end, fmt, rf64_size):
             raise ValueError(f"unsupported {width}-byte sample containers "
                              f"(format {tag:#06x})") from None
         # whole samples of the container width, each read as one dtype item
-        raw = cursor.read(size // width * dtype.itemsize)
+        raw = f.read(size // width * dtype.itemsize)
         data = np.frombuffer(raw[:len(raw) // dtype.itemsize * dtype.itemsize],
                              dtype=dtype)
     else:
         # left-justify each sample in the smallest integer that holds it
-        raw = np.frombuffer(cursor.read(size), dtype="V1").reshape(-1, width)
+        raw = np.frombuffer(f.read(size), dtype="V1").reshape(-1, width)
         dtype = np.dtype(f"{end}i{4 if width == 3 else 8}")
         padded = np.zeros((raw.shape[0], dtype.itemsize), dtype="V1")
         if end == ">":
@@ -123,7 +109,7 @@ def _read_data(cursor, end, fmt, rf64_size):
         else:
             padded[:, -width:] = raw
         data = padded.view(dtype).reshape(-1)
-    cursor.seek(size % 2)
+    f.seek(size % 2, io.SEEK_CUR)
     return data.reshape(-1, channels) if channels > 1 else data
 
 
@@ -133,30 +119,31 @@ def _parse(data):
     Raises:
         ValueError or struct.error: the bytes are not a parseable WAV file.
     """
-    cursor = _Cursor(data)
-    signature = cursor.read(4)
+    f = io.BytesIO(data)
+    signature = f.read(4)
     if signature not in (b"RIFF", b"RIFX", b"RF64"):
         raise ValueError(f"file format {signature!r} is not RIFF, RIFX or RF64")
     end = ">" if signature == b"RIFX" else "<"
     rf64_size = None
     if signature == b"RF64":
-        cursor.read(4)
-        form = cursor.read(4)
-        if cursor.read(4) != b"ds64":
+        f.read(4)
+        form = f.read(4)
+        if f.read(4) != b"ds64":
             raise ValueError("RF64 file without a ds64 chunk")
-        ds64_size = cursor.unpack("<I")[0]
-        file_size = cursor.unpack("<Q")[0] + 8
-        rf64_size = cursor.unpack("<Q")[0]
-        cursor.seek(ds64_size - 16)
+        ds64_size = _unpack(f, "<I")[0]
+        file_size = _unpack(f, "<Q")[0] + 8
+        # BytesIO reads at most sys.maxsize bytes, which also reads to the end
+        rf64_size = min(_unpack(f, "<Q")[0], sys.maxsize)
+        f.seek(ds64_size - 16, io.SEEK_CUR)
     else:
-        file_size = cursor.unpack(end + "I")[0] + 8
-        form = cursor.read(4)
+        file_size = _unpack(f, end + "I")[0] + 8
+        form = f.read(4)
     if form != b"WAVE":
         raise ValueError(f"not a WAV file: RIFF form type {form!r}")
 
     fmt = samples = None
-    while cursor.pos < file_size:
-        chunk_id = cursor.read(4)
+    while f.tell() < file_size:
+        chunk_id = f.read(4)
         if not chunk_id:
             if samples is None:
                 raise ValueError("unexpected end of file")
@@ -164,13 +151,13 @@ def _parse(data):
         if len(chunk_id) < 4 and samples is None:
             raise ValueError(f"incomplete chunk id {chunk_id!r}")
         if chunk_id == b"fmt ":
-            fmt = _read_fmt(cursor, end)
+            fmt = _read_fmt(f, end)
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("no fmt chunk before data")
-            samples = _read_data(cursor, end, fmt, rf64_size)
+            samples = _read_data(f, end, fmt, rf64_size)
         else:
-            cursor.skip_chunk(end)
+            _skip_chunk(f, end)
     if samples is None:
         raise ValueError("no data chunk")
     return fmt[2], samples
@@ -220,6 +207,8 @@ def write_wav(path, samples, sample_rate, encoding="float32"):
     Raises:
         ValueError: samples not 1-D or not finite, an unknown encoding, or
             more data than a RIFF file holds (4 GiB).
+        FloatingPointError: float32 samples that overflow; nothing is
+            written.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -227,7 +216,10 @@ def write_wav(path, samples, sample_rate, encoding="float32"):
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
     if encoding == "float32":
-        data = x.astype("<f4")
+        with np.errstate(over="ignore"):
+            data = x.astype("<f4")
+        if not np.all(np.isfinite(data)):
+            raise FloatingPointError(f"{path}: samples overflow float32")
         tag, extra = _IEEE_FLOAT, b"\x00\x00"       # cbSize: no extension
     elif encoding == "pcm16":
         data = np.clip(np.round(x * _PCM16_SCALE), -32768, 32767).astype("<i2")

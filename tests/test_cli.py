@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -327,6 +328,33 @@ def test_non_finite_wav_is_numerical_failure(scene_dir, tmp_path, capsys, role):
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and bad in err
+
+
+def _scaled_copy(src, dst, scale):
+    """``src``'s samples times ``scale``, written as a float64 WAV."""
+    samples, fs = read_wav(src)
+    wavfile.write(dst, fs, samples * scale)
+    return str(dst)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale, name", [
+    (1e40, "fcp"), (1e40, "wpe_vanilla"),
+    (1e160, "fcp"), (1e160, "wpe_vanilla"), (1e160, "icp")])
+def test_overflow_is_a_numerical_failure(scene_dir, tmp_path, capsys, scale, name):
+    """An output beyond float32's range (x1e40) and an input whose power
+    overflows (x1e160) exit 4 with one stderr line, no numpy warning and no
+    WAV written."""
+    out = tmp_path / "o.wav"
+    rc = main(["dereverb", "--mixture",
+               _scaled_copy(scene_dir / "y.wav", tmp_path / "big.wav", scale),
+               "--reference", str(scene_dir / "s.wav"), "--algorithm", name,
+               "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_NUMERIC
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert (str(out) in err) == (scale == 1e40)
+    assert not out.exists()
 
 
 def test_dereverb_missing_input_is_io_error(capsys):
@@ -776,6 +804,20 @@ def test_readme_settings_table_is_the_settings_table():
     assert table == [_readme_row(k, s) for k, s in cli.SETTINGS.items()]
 
 
+def test_readme_algorithm_table_is_the_algorithm_table():
+    """Each README row: the settings applied with their defaults, whether
+    the estimate is read, and whether passes > 1 is allowed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| algorithm | settings applied (default) | reads estimate | `passes` > 1 |\n"
+    table = readme[readme.index(header):].split("\n\n")[0].splitlines()[2:]
+    yes = {True: "yes", False: "no"}
+    assert table == [
+        f"| `{name}` | "
+        + ", ".join(f"`{k}` {getattr(algo.defaults(), k)}" for k in algo.settings)
+        + f" | {yes[algo.reads_estimate]} | {yes[algo.multi_pass]} |"
+        for name, algo in cli.ALGORITHMS.items()]
+
+
 def test_prediction_settings_have_the_types_of_pred_config():
     for field in dataclasses.fields(convpred.PredConfig):
         assert cli.SETTINGS[field.name].kind is field.type
@@ -999,6 +1041,32 @@ def test_experiment_csv_and_json(tmp_path, capsys):
     assert len(result["rows"]) == 1
     lines = (tmp_path / "result.csv").read_text().splitlines()
     assert lines[0].startswith("seed,") and len(lines) == 2
+
+
+def test_csv_lists_every_algorithm_entry_setting(tmp_path):
+    """One CSV column per algorithm-entry setting, in the settings table's
+    order, so entries that differ only in diag_load, iters or passes give
+    rows that differ there too."""
+    result = run_experiment(small_sweep(seeds=[0], algorithms=[
+        "fcp", {"name": "fcp", "diag_load": 0.1}, {"name": "fcp", "passes": 2},
+        "wpe_vanilla", {"name": "wpe_vanilla", "iters": 1}]))
+    cli._write_csv(result, tmp_path / "r.csv")
+    with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "seed", "t60", "snr_db", "estimate_error_snr_db", "algorithm", "taps",
+        "delay", "eps", "lambda_mode", "diag_load", "iters", "passes", "source",
+        "si_sdr_unprocessed_db", "si_sdr_db", "sdr_512_db", "gcc_phat_delay",
+        "error"]
+    entry = [k for k, s in cli.SETTINGS.items() if s.sweep == "entry"]
+    assert reader.fieldnames[5:12] == entry
+    for line, row in zip(rows, result["rows"], strict=True):
+        assert line["error"] == "" and line["algorithm"] == row["algorithm"]
+        assert {k: line[k] for k in entry} == {
+            k: str(row["settings"].get(k, "")) for k in entry}
+    assert [line["diag_load"] for line in rows[:2]] == ["1e-06", "0.1"]
+    assert rows[2]["passes"] == "2" and rows[4]["iters"] == "1"
 
 
 def test_early_only_ordering_mini_sweep():

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import os
 import threading
@@ -98,6 +99,32 @@ def test_lambda_zero_spec_rejected():
     with pytest.raises(ValueError):
         lambda_weights(np.zeros((4, 4), dtype=complex), "mix_power", 0.001)
     assert np.all(lambda_weights(np.zeros((4, 4), dtype=complex), "unit", 1.0) == 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_that_overflows_is_a_numerical_failure(reverb_scene, cfg8k):
+    """A spectrogram whose power overflows raises FloatingPointError, with no
+    numpy warning, in the weights and in vanilla WPE's first weights."""
+    y = 1e160 * analyze(reverb_scene.y, cfg8k).data
+    with pytest.raises(FloatingPointError, match="power overflows"):
+        lambda_weights(y, "mix_power", 0.001)
+    with pytest.raises(FloatingPointError, match="power overflows"):
+        lambda_weights([y[:, :4], y[:, 4:8]], "est_power", 1.0)
+    with pytest.raises(FloatingPointError, match="power overflows"):
+        wpe_vanilla(y, PredConfig.for_wpe())
+
+
+@pytest.mark.parametrize("fn, preset", [
+    (wpe_supplied, PredConfig.for_wpe), (icp, PredConfig.for_icp),
+    (fcp, PredConfig.for_fcp), (solve_wls, PredConfig)])
+def test_signature_defaults_are_the_presets(fn, preset):
+    """Each default in a library signature is its algorithm's PredConfig
+    preset (solve_wls's diag_load is the one all presets share)."""
+    pred = preset()
+    defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                if p.default is not p.empty and hasattr(pred, name)}
+    assert "diag_load" in defaults
+    assert defaults == {name: getattr(pred, name) for name in defaults}
 
 
 def test_pred_config_validation():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dereverb import (Rir, RirSpec, analyze, cli, degrade, gen_rir, read_wav,
-                      render_scene, rir_spec_for_distance, si_sdr, split_rir,
-                      strip_late, synth_speech, target_estimates, write_wav)
+                      render_scene, si_sdr, split_rir, strip_late, synth_speech,
+                      target_estimates, write_wav)
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +57,6 @@ def test_gen_rir_validation():
         RirSpec(16000, t60=-0.5)
     with pytest.raises(ValueError):
         RirSpec(16000, t60=0.5, rir_len=100)  # cannot span t60
-
-
-def test_rir_spec_for_distance():
-    spec = rir_spec_for_distance(1.0, 16000, t60=0.3)
-    assert spec.direct_delay == round(16000 / 343.0)
-    assert spec.direct_gain == 1.0
 
 
 # ---------------------------------------------------------------------------

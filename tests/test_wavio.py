@@ -153,6 +153,22 @@ def test_read_wav_matches_scipy_reader(tmp_path, name):
         assert isinstance(expected, tuple) and len(expected[1]) > 0
 
 
+@pytest.mark.parametrize("width", [2, 3])
+def test_rf64_size_beyond_the_file_reads_the_samples_it_holds(tmp_path, width):
+    """A ds64 data size up to 2**64 - 1 reads the samples the file holds,
+    as a size that matches it does."""
+    data = bytearray(rf64(fmt_chunk(1, width),
+                          _I16.tobytes() if width == 2 else pcm24(_I24)))
+    path = tmp_path / "x.wav"
+    path.write_bytes(data)
+    expected = outcome(read_wav, path)
+    assert isinstance(expected, tuple)
+    for size in (2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1):
+        data[28:36] = struct.pack("<Q", size)
+        path.write_bytes(data)
+        assert outcome(read_wav, path) == expected, size
+
+
 def test_rifx_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "rifx.wav"
     path.write_bytes(VARIANTS["rifx"])
@@ -207,3 +223,13 @@ def test_write_wav_bytes_equal_scipy(tmp_path, encoding, rate, n):
     wavfile.write(tmp_path / "scipy.wav", rate, data)
     assert ((tmp_path / "ours.wav").read_bytes()
             == (tmp_path / "scipy.wav").read_bytes())
+
+
+@pytest.mark.filterwarnings("error")
+def test_float32_overflow_raises_and_writes_nothing(tmp_path):
+    """Samples beyond float32's range raise naming the file, with no numpy
+    warning, and no file is written."""
+    path = tmp_path / "big.wav"
+    with pytest.raises(FloatingPointError, match="big.wav"):
+        write_wav(path, np.array([0.5, 1e40]), 8000)
+    assert not path.exists()
