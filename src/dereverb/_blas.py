@@ -110,17 +110,19 @@ class Kernels:
                    self._zpotrf, self._dpotrf, self._zpotrs):
             fn.restype = None
 
-    def gram(self, m, out):
-        """out[i] = m[i] @ m[i]^H for m of shape (b, n, t), out (b, n, n)."""
+    def gram(self, m, out, accumulate=False):
+        """out[i] = m[i] @ m[i]^H for m of shape (b, n, t), out (b, n, n);
+        with ``accumulate``, out[i] += m[i] @ m[i]^H (zgemm's beta = 1)."""
         b, n, t = m.shape
         _check([(m, (b, n, t)), (out, (b, n, n))])
         m_ptr, m_step = m.ctypes.data, m.strides[0]
         out_ptr, out_step = out.ctypes.data, out.strides[0]
-        one, zero = _ONE.ctypes.data, _ZERO.ctypes.data
+        one = _ONE.ctypes.data
+        beta = (_ONE if accumulate else _ZERO).ctypes.data
         for i in range(b):
             a = m_ptr + i * m_step
             self._zgemm(_ROW_MAJOR, _NO_TRANS, _CONJ_TRANS, n, n, t, one,
-                        a, t, a, t, zero, out_ptr + i * out_step, n)
+                        a, t, a, t, beta, out_ptr + i * out_step, n)
 
     def cholesky(self, a, which):
         """Factor a[i] in place for each i in ``which``, a of shape
@@ -208,8 +210,9 @@ class ScipyKernels:
     of the checked C-contiguous matrices, so they overwrite in place the
     memory ``Kernels`` would."""
 
-    def gram(self, m, out):
-        np.matmul(m, np.swapaxes(np.conj(m), 1, 2), out=out)
+    def gram(self, m, out, accumulate=False):
+        product = np.matmul(m, np.swapaxes(np.conj(m), 1, 2))
+        out[...] = out + product if accumulate else product
 
     def cholesky(self, a, which):
         from scipy.linalg import lapack

@@ -579,6 +579,7 @@ def cmd_dereverb(config):
 
     outputs = _enhanced(mix_tf, run_algorithm(name, pred, mix_tf, ests, passes,
                                               mixture.size), mixture.size)
+    del mix_tf, ests    # no spectrogram stays alive while the metrics run
 
     written = []
     if _get(config, "output"):

@@ -4,16 +4,19 @@ inverse convolutive prediction (ICP) and forward convolutive prediction
 (FCP). A multi-source variant runs one of them once per source estimate.
 
 All operations work on T x F complex spectrogram matrices (frames x bins).
-Frequency bins are solved independently, one GEMM, one Cholesky factor and
-three triangular solves each, through one kernel interface: numpy's OpenBLAS
-(``_blas.Kernels``), or numpy's matmul and scipy's LAPACK wrappers without it
-(``_blas.ScipyKernels``). A bin that does not factor gets lstsq's answer.
-When numpy's OpenBLAS runs on one thread, ``solve_wls`` and ``apply_filter``
-split the bins into one contiguous range per core and run each range on a
-thread pool that lives for that call only, in buffers and outputs allocated
-on the calling thread; every bin goes through the same calls on the same
-data as on one thread, so the results are bit-identical. There is no shared
-mutable state, so everything here is safe to call concurrently.
+Frequency bins are solved independently, one GEMM per tile of frames, one
+Cholesky factor and three triangular solves each, through one kernel
+interface: numpy's OpenBLAS (``_blas.Kernels``), or numpy's matmul and
+scipy's LAPACK wrappers without it (``_blas.ScipyKernels``). A bin that
+does not factor gets lstsq's answer.
+Each block of bins is solved and its filters applied in one pass over the
+delayed stack, in tiles of frames. When numpy's OpenBLAS runs on one
+thread, ``solve_wls`` splits the bins into one contiguous range per core
+and runs each range on a thread pool that lives for that call only, in
+buffers and outputs allocated on the calling thread; every bin goes
+through the same calls on the same data as on one thread, so the results
+are bit-identical. There is no shared mutable state, so everything here is
+safe to call concurrently.
 
 Conventions:
     The K-frame stack of a signal z is
@@ -166,51 +169,16 @@ def lambda_weights(ref_spec, mode, eps):
     return _floored_power(power, eps)
 
 
-def build_stack(z, taps, delay):
-    """Delayed K-frame stacks of a T x F signal.
-
-    Returns:
-        (F, T, K) array A with A[f, t, k] = z(t - delay - k, f), zero for
-        frames before the start.
-    """
-    z = _as_tf(z)
-    n_frames, n_bins = z.shape
-    pad = np.zeros((delay + taps - 1, n_bins), dtype=np.complex128)
-    zp = np.concatenate([pad, z], axis=0)
-    swv = np.lib.stride_tricks.sliding_window_view(zp, taps, axis=0)
-    # swv[t, f, j] = zp[t + j, f]; reverse j so k counts backwards in time
-    stacked = swv[:n_frames, :, ::-1]
-    return np.transpose(stacked, (1, 0, 2))
-
-
-def apply_filter(filters, z):
-    """Prediction g^H z_tilde(t - delay) for every frame and bin. Each
-    worker writes its bins' products straight into the (T, F) result, so the
-    only other full-size array is the stack's padded copy of z.
-
-    Args:
-        filters: FilterBank.
-        z: T x F signal the stack is built from.
-
-    Returns:
-        (T, F) complex array.
-    """
-    stack = build_stack(z, filters.taps, filters.delay)  # (F, T, K)
-    g = np.conj(filters.filters)[:, :, None]
-    pred = np.empty(stack.shape[1::-1], dtype=np.complex128)
-    out = pred.T[:, :, None]                             # (F, T, 1) view
-    _over_bins(_bin_ranges(stack.shape[0]), lambda lo, hi: np.matmul(
-        stack[lo:hi], g[lo:hi], out=out[lo:hi]))
-    return pred
-
-
 # Bins buffered at a time by all workers of solve_wls together, and the most
 # workers it uses. Each of W workers fills and multiplies blocks of
-# _BIN_BLOCK // W bins; a block needs one (block, K+1, T) complex buffer,
+# _BIN_BLOCK // W bins; a block needs one (block, K+1, tile) complex buffer,
 # 5.3 MB for 16 bins at 16 kHz (K = 40, T = 503). Blocks of 8 to 32 bins
 # ran fastest there on one thread, 64 and up slower as the buffer leaves
 # the cache.
 _BIN_BLOCK = 16
+# Frames per tile of that buffer: 4.1 s at 16 kHz, so every input up to
+# that length fills and multiplies its stack in one tile.
+_TILE = 512
 
 
 def _bin_workers(n_bins):
@@ -224,41 +192,23 @@ def _bin_workers(n_bins):
     return min(len(os.sched_getaffinity(0)), _BIN_BLOCK, n_bins)
 
 
-def _bin_ranges(n_bins):
-    """One contiguous (lo, hi) bin range per worker."""
-    workers = _bin_workers(n_bins)
-    edges = [n_bins * i // workers for i in range(workers + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 class _Workspace(NamedTuple):
-    """One bin worker's buffers for blocks of up to ``block`` bins, with
-    n_cols = T - delay frames."""
+    """One bin worker's buffers for blocks of up to ``block`` bins and
+    tiles of up to ``tile`` frames."""
 
-    aug: np.ndarray         # (block, K+1, n_cols) augmented stack M
+    aug: np.ndarray         # block * (K+1) * tile items: augmented stack M
     products: np.ndarray    # (block, K+1, K+1) M @ M^H
     factors: np.ndarray     # (block, K, K) Cholesky factors
-    zp: np.ndarray          # (block, K-1 + n_cols) zero-padded stack source
-    sqrt_inv_w: np.ndarray  # (block, n_cols) 1 / sqrt(weights)
+    zp: np.ndarray          # (block, K-1 + tile) zero-padded stack source
+    sqrt_inv_w: np.ndarray  # (block, tile) 1 / sqrt(weights)
 
     @classmethod
-    def allocate(cls, block, taps, n_cols):
-        return cls(np.empty((block, taps + 1, n_cols), dtype=np.complex128),
+    def allocate(cls, block, taps, tile):
+        return cls(np.empty(block * (taps + 1) * tile, dtype=np.complex128),
                    np.empty((block, taps + 1, taps + 1), dtype=np.complex128),
                    np.empty((block, taps, taps), dtype=np.complex128),
-                   np.zeros((block, taps - 1 + n_cols), dtype=np.complex128),
-                   np.empty((block, n_cols)))
-
-
-def _over_bins(jobs, run):
-    """run(*job) for each job, in job order: the first on the calling
-    thread, the others on a pool that lives for this call only."""
-    if len(jobs) == 1:
-        return [run(*jobs[0])]
-    with ThreadPoolExecutor(len(jobs) - 1) as pool:
-        rest = [pool.submit(run, *job) for job in jobs[1:]]
-        first = run(*jobs[0])
-        return [first] + [future.result() for future in rest]
+                   np.empty((block, taps - 1 + tile), dtype=np.complex128),
+                   np.empty((block, tile)))
 
 
 def _cholesky_solve(kernels, gram, rhs, live, factor):
@@ -285,61 +235,84 @@ def _cholesky_solve(kernels, gram, rhs, live, factor):
     return sol, len(failed)
 
 
-def _solve_range(z, d, w, lo, hi, taps, delay, diag_load, filters, work):
-    """Fill filters[lo:hi] with solve_wls's filters of bins lo .. hi-1 for
-    validated inputs, in blocks of as many bins as the _Workspace ``work``
-    holds; returns the number of bins that fell back to lstsq.
+def _fill_tile(z, start, stop, c0, c1, taps, zp):
+    """Copy frames c0-K+1 .. c1-1 of bins start .. stop-1 of z into the rows
+    of ``zp``, zeros for frames before the start; returns the (b, K, c1-c0)
+    view whose row k, column j holds z(c0 + j - k)."""
+    zp = zp[:stop - start, :taps - 1 + c1 - c0]
+    skip = max(taps - 1 - c0, 0)
+    zp[:, :skip] = 0.0
+    zp[:, skip:] = z[c0 + skip - (taps - 1):c1, start:stop].T
+    return np.lib.stride_tricks.sliding_window_view(zp, c1 - c0, axis=1)[:, ::-1]
+
+
+def _solve_range(z, d, w, lo, hi, taps, delay, diag_load, filters, pred, work):
+    """Fill filters[lo:hi] and columns lo .. hi-1 of ``pred`` for validated
+    inputs, in blocks of as many bins and tiles of as many frames as the
+    _Workspace ``work`` holds; returns the number of bins sent to lstsq.
 
     Row k < K of the (K+1, T - delay) matrix M of bin f holds
     z(t - delay - k, f) / sqrt(w(t, f)) for t = delay .. T-1 and row K holds
     d(t, f) / sqrt(w(t, f)); frames t < delay have an all-zero stack and are
     left out. M @ M^H is [[R, r], [r^H, e]]: the Gram matrix R and the
-    right-hand side r of the normal equations. Each block copies its bins of
-    z and of the weights into ``work``, fills M once, multiplies it into a
-    block-sized Gram buffer (``kernels.gram``), loads the diagonal in
-    place, raising FloatingPointError if the loading overflows, and solves
-    (``_cholesky_solve``). Nothing allocated here grows with T.
+    right-hand side r of the normal equations, summed over M's tiles into a
+    block-sized buffer (``kernels.gram``). Each block with a live bin is
+    loaded and solved (``_cholesky_solve``), then multiplies its filters
+    into the unscaled stack tiles, rows delay .. T-1 of ``pred``. Nothing
+    allocated here grows with T.
     """
     n_cols = z.shape[0] - delay
     kernels = _blas.numpy_kernels()
-    block = len(work.aug)
+    block, tile = work.sqrt_inv_w.shape
+    tiles = [(c0, min(c0 + tile, n_cols)) for c0 in range(0, n_cols, tile)]
     n_failed = 0
     for start in range(lo, hi, block):
         stop = min(start + block, hi)
         b = stop - start
-        m, full, zp, sqrt_inv_w = (work.aug[:b], work.products[:b], work.zp[:b],
-                                   work.sqrt_inv_w[:b])
-        # zp[i, taps - 1 + j] = z(j, start + i), so row k of M is
-        # zp[i, taps-1-k : taps-1-k+n_cols]; the first taps - 1 columns stay 0
-        zp[:, taps - 1:] = z[:n_cols, start:stop].T
-        np.divide(1.0, w[delay:, start:stop].T, out=sqrt_inv_w)
-        np.sqrt(sqrt_inv_w, out=sqrt_inv_w)
-        shifted = np.lib.stride_tricks.sliding_window_view(
-            zp, n_cols, axis=1)[:, ::-1]            # (b, K, n_cols)
-        np.multiply(shifted, sqrt_inv_w[:, None, :], out=m[:, :taps])
-        np.multiply(d[delay:, start:stop].T, sqrt_inv_w, out=m[:, taps])
-        kernels.gram(m, full)
-        gram = full[:, :taps, :taps]                # (b, K, K)
-        rhs = full[:, :taps, taps:]                 # (b, K, 1)
-        trace = np.einsum("fkk->f", gram).real
-        live = trace > 0
-        if not np.any(live):
-            continue
-        if diag_load > 0:                           # R's diagonal, in place
-            with np.errstate(over="ignore"):
-                load = diag_load * trace / taps
-            if not np.all(np.isfinite(load)):
+        full = work.products[:b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0, c1 in tiles:
+                width = c1 - c0
+                shifted = _fill_tile(z, start, stop, c0, c1, taps, work.zp)
+                sqrt_inv_w = work.sqrt_inv_w[:b, :width]
+                np.divide(1.0, w[delay + c0:delay + c1, start:stop].T, out=sqrt_inv_w)
+                np.sqrt(sqrt_inv_w, out=sqrt_inv_w)
+                m = work.aug[:b * (taps + 1) * width].reshape(b, taps + 1, width)
+                np.multiply(shifted, sqrt_inv_w[:, None, :], out=m[:, :taps])
+                np.multiply(d[delay + c0:delay + c1, start:stop].T, sqrt_inv_w,
+                            out=m[:, taps])
+                kernels.gram(m, full, accumulate=c0 > 0)
+            gram = full[:, :taps, :taps]                # (b, K, K)
+            rhs = full[:, :taps, taps:]                 # (b, K, 1)
+            trace = np.einsum("fkk->f", gram).real
+            if not np.all(np.isfinite(trace)):
                 raise FloatingPointError(
-                    f"the diagonal loading overflows with diag_load {diag_load:g}")
-            full.reshape(b, -1)[:, :taps * (taps + 2):taps + 2] += load[:, None]
-        sol, failed = _cholesky_solve(kernels, gram, rhs, live, work.factors[:b])
-        filters[start:stop] = sol[:, :, 0]
-        n_failed += failed
+                    "the weighted Gram matrix is not finite: the stack or "
+                    "target over sqrt(weights) overflows")
+            live = trace > 0
+            if not np.any(live):
+                continue
+            if diag_load > 0:                           # R's diagonal, in place
+                load = diag_load * trace / taps
+                if not np.all(np.isfinite(load)):
+                    raise FloatingPointError(
+                        f"the diagonal loading overflows with diag_load {diag_load:g}")
+                full.reshape(b, -1)[:, :taps * (taps + 2):taps + 2] += load[:, None]
+            sol, failed = _cholesky_solve(kernels, gram, rhs, live, work.factors[:b])
+            filters[start:stop] = sol[:, :, 0]
+            n_failed += failed
+            g = np.conj(sol[:, None, :, 0])             # (b, 1, K)
+            for c0, c1 in tiles:
+                if len(tiles) > 1:                      # zp holds the last tile
+                    shifted = _fill_tile(z, start, stop, c0, c1, taps, work.zp)
+                np.matmul(g, shifted, out=pred[delay + c0:delay + c1,
+                                               start:stop].T[:, None, :])
     return n_failed
 
 
 def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
-    """Closed-form weighted least-squares filter bank, one filter per bin.
+    """Closed-form weighted least-squares filter bank, one filter per bin,
+    and its prediction of the target.
 
     For each frequency f independently, minimizes
         sum_t |target(t, f) - g(f)^H z_tilde(t - delay, f)|^2 / weights(t, f)
@@ -349,20 +322,22 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     rounds of iterative refinement on it. Bins whose stack carries no
     energy get a zero filter; a bin whose loaded Gram matrix is not
     positive definite gets the minimum-norm least-squares solution, and one
-    WARNING record gives the count of those.
+    WARNING record gives the count of those. Each block of bins applies its
+    filters to the stack it was solved on, so the prediction
+    g(f)^H z_tilde(t - delay, f) costs no second pass over the input.
 
-    The Gram matrix R and right-hand side r of each bin come from one GEMM
-    of the augmented stack [A | d] / sqrt(weights) with its conjugate
-    transpose, which is [[R, r], [r^H, .]]. The working set is one
-    (_BIN_BLOCK, K+1, T) stack buffer plus (_BIN_BLOCK, K+1, K+1) products,
-    (_BIN_BLOCK, K, K) factors and _BIN_BLOCK rows each of the padded stack
-    source and the weights, shared out among the workers and allocated on
-    the calling thread, and the (F, K) filters, whatever the number of
-    bins. The kernels run on numpy's OpenBLAS through ctypes, without the
-    GIL; without it, the same calls run on numpy's matmul and scipy's
-    LAPACK wrappers. When numpy's OpenBLAS runs on one thread the bins are
-    split into one contiguous range per core, each solved on its own
-    thread.
+    The Gram matrix R and right-hand side r of each bin come from GEMMs of
+    the augmented stack [A | d] / sqrt(weights) with its conjugate
+    transpose, which is [[R, r], [r^H, .]], summed over tiles of _TILE
+    frames. The working set is one (_BIN_BLOCK, K+1, min(T, _TILE)) stack
+    buffer plus (_BIN_BLOCK, K+1, K+1) products, (_BIN_BLOCK, K, K) factors
+    and _BIN_BLOCK tile rows each of the padded stack source and the
+    weights, shared out among the workers, and the (F, K) filters and
+    (T, F) prediction. The kernels run on numpy's OpenBLAS through ctypes,
+    without the GIL; without it, the same calls run on numpy's matmul and
+    scipy's LAPACK wrappers. When numpy's OpenBLAS runs on one thread the
+    bins are split into one contiguous range per core, each solved on its
+    own thread.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -373,11 +348,12 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
         diag_load: relative regularization; 0 gives plain normal equations.
 
     Returns:
-        FilterBank of shape (F, K).
+        ((T, F) prediction, 0 in frames before ``delay``; FilterBank of
+        shape (F, K)).
 
     Raises:
-        FloatingPointError: the loading overflows, or a solved filter is
-            not finite.
+        FloatingPointError: a weighted Gram matrix is not finite, the
+            loading overflows, or a solved filter is not finite.
     """
     z = _as_tf(stack_src)
     d = _as_tf(target)
@@ -398,23 +374,32 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     n_frames, n_bins = z.shape
     n_cols = n_frames - delay
     filters = np.zeros((n_bins, taps), dtype=np.complex128)
+    pred = np.zeros((n_frames, n_bins), dtype=np.complex128)
     if n_cols > 0:
-        # Each worker's buffers are allocated here, on the calling thread, so
-        # no worker's malloc arena keeps anything that grows with the input
-        # once the call returns.
-        ranges = _bin_ranges(n_bins)
-        block = _BIN_BLOCK // len(ranges)
-        jobs = [(lo, hi, _Workspace.allocate(min(block, hi - lo), taps, n_cols))
-                for lo, hi in ranges]
-        n_failed = sum(_over_bins(jobs, lambda lo, hi, work: _solve_range(
-            z, d, w, lo, hi, taps, delay, diag_load, filters, work)))
+        # One contiguous bin range per worker: the first on the calling
+        # thread, the others on a pool that lives for this call only, each
+        # with buffers allocated here, on the calling thread, so no worker's
+        # malloc arena keeps anything once the call returns.
+        workers = _bin_workers(n_bins)
+        edges = [n_bins * i // workers for i in range(workers + 1)]
+        block, tile = _BIN_BLOCK // workers, min(n_cols, _TILE)
+        jobs = [(lo, hi, _Workspace.allocate(min(block, hi - lo), taps, tile))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+
+        def run(lo, hi, work):
+            return _solve_range(z, d, w, lo, hi, taps, delay, diag_load,
+                                filters, pred, work)
+
+        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+            rest = [pool.submit(run, *job) for job in jobs[1:]]
+            n_failed = run(*jobs[0]) + sum(future.result() for future in rest)
         if n_failed:
             _log.warning("solve_wls: %d of %d bins have a Gram matrix that is "
                          "not positive definite; solved by lstsq", n_failed, n_bins)
     if not np.all(np.isfinite(filters)):
         raise FloatingPointError(f"solved filters are not finite with diag_load "
                                  f"{diag_load:g}: the loaded Gram matrix overflows")
-    return FilterBank(filters, delay)
+    return pred, FilterBank(filters, delay)
 
 
 def _floored_power(power, eps):
@@ -475,8 +460,8 @@ def wpe_supplied(mixture, weights, taps=37, delay=3, diag_load=1e-6):
             "WPE needs delay >= 1: with delay 0 the identity filter "
             "zeroes the residual and the problem is vacuous"
         )
-    filters = solve_wls(y, y, taps, delay, weights, diag_load)
-    return y - apply_filter(filters, y), filters
+    pred, filters = solve_wls(y, y, taps, delay, weights, diag_load)
+    return np.subtract(y, pred, out=pred), filters
 
 
 def _degenerate_bins(est, rel_tol=1e-12):
@@ -507,8 +492,7 @@ def icp(mixture, est, taps=40, weights=None, eps=1.0, diag_load=1e-6):
     s = _as_tf(est)
     if weights is None:
         weights = lambda_weights(s, "est_power", eps)
-    bank = solve_wls(y, s, taps, 0, weights, diag_load)
-    shat = apply_filter(bank, y)
+    shat, bank = solve_wls(y, s, taps, 0, weights, diag_load)
 
     coeffs = bank.filters
     dead = _degenerate_bins(s)
@@ -546,8 +530,7 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
     s = _as_tf(est)
     if weights is None:
         weights = lambda_weights(y, "mix_power", eps)
-    bank = solve_wls(s, y, taps, 0, weights, diag_load)
-    xhat = apply_filter(bank, s)
+    xhat, bank = solve_wls(s, y, taps, 0, weights, diag_load)
 
     shat = np.subtract(xhat, s)
     np.subtract(y, shat, out=shat)                  # y - (xhat - s)

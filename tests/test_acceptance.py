@@ -88,7 +88,7 @@ def test_c1_solver_oracle_equivalence():
         for f in range(bins):
             sqw = np.sqrt(1.0 / lam[:, f])
             expected[f] = np.conj(np.linalg.pinv(stacks[f]) @ (sqw * d[:, f]))
-        bank = solve_wls(z, d, taps, delay, lam, diag_load=0.0)
+        _, bank = solve_wls(z, d, taps, delay, lam, diag_load=0.0)
         err = (np.linalg.norm(bank.filters - expected)
                / max(np.linalg.norm(expected), 1e-300))
         worst = max(worst, err)
@@ -243,14 +243,14 @@ def test_c7_robustness_filter_deviation():
             est, mixture, _, noise = _planted_subband(rng, frames,
                                                       interferer_db=0.0)
             lam = lambda_weights(est, "est_power", 0.001)
-            clean = solve_wls(est, mixture, taps, 0, lam).filters
-            noisy = solve_wls(est, mixture + noise, taps, 0, lam).filters
+            clean = solve_wls(est, mixture, taps, 0, lam)[1].filters
+            noisy = solve_wls(est, mixture + noise, taps, 0, lam)[1].filters
             dev_fcp[frames].append(np.linalg.norm(noisy - clean)
                                    / np.linalg.norm(clean))
             if frames == 400:
-                wc = solve_wls(mixture, mixture, taps, 1, lam).filters
+                wc = solve_wls(mixture, mixture, taps, 1, lam)[1].filters
                 wm = solve_wls(mixture + noise, mixture + noise, taps, 1,
-                               lam).filters
+                               lam)[1].filters
                 dev_wpe.append(np.linalg.norm(wm - wc) / np.linalg.norm(wc))
     means = {frames: float(np.mean(v)) for frames, v in dev_fcp.items()}
     wpe_mean = float(np.mean(dev_wpe))

@@ -340,11 +340,12 @@ def _scaled_copy(src, dst, scale):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale, name", [
     (1e40, "fcp"), (1e40, "wpe_vanilla"),
-    (1e160, "fcp"), (1e160, "wpe_vanilla"), (1e160, "icp")])
+    (1e160, "fcp"), (1e160, "wpe_vanilla"), (1e160, "icp"),
+    (1e-160, "fcp"), (1e-160, "wpe_vanilla")])
 def test_overflow_is_a_numerical_failure(scene_dir, tmp_path, capsys, scale, name):
-    """An output beyond float32's range (x1e40) and an input whose power
-    overflows (x1e160) exit 4 with one stderr line, no numpy warning and no
-    WAV written."""
+    """An output beyond float32's range (x1e40), an input whose power
+    overflows (x1e160) and weights whose inverse overflows (x1e-160) exit 4
+    with one stderr line, no numpy warning and no WAV written."""
     out = tmp_path / "o.wav"
     rc = main(["dereverb", "--mixture",
                _scaled_copy(scene_dir / "y.wav", tmp_path / "big.wav", scale),
@@ -354,6 +355,7 @@ def test_overflow_is_a_numerical_failure(scene_dir, tmp_path, capsys, scale, nam
     assert rc == EXIT_NUMERIC
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert (str(out) in err) == (scale == 1e40)
+    assert scale != 1e-160 or "Gram matrix is not finite" in err
     assert not out.exists()
 
 

@@ -10,29 +10,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dereverb import _blas, cli, convpred
-from dereverb import (FilterBank, PredConfig, analyze, apply_filter,
-                      build_stack, fcp, icp, iterate, lambda_weights, si_sdr,
-                      solve_wls, synthesize, target_estimates, wpe_supplied,
-                      wpe_vanilla)
-from dereverb.convpred import _BIN_BLOCK, _floored_power
+from dereverb import (PredConfig, analyze, fcp, icp, iterate, lambda_weights,
+                      si_sdr, solve_wls, synthesize, target_estimates,
+                      wpe_supplied, wpe_vanilla)
+from dereverb.convpred import _BIN_BLOCK, _TILE, _floored_power
+
+
+def stack_oracle(z, taps, delay):
+    """Explicit per-(t, k) stack: a[t, f, k] = z(t - delay - k, f), zero for
+    frames before the start."""
+    n_frames, n_bins = z.shape
+    a = np.zeros((n_frames, n_bins, taps), dtype=complex)
+    for t in range(n_frames):
+        for k in range(taps):
+            idx = t - delay - k
+            if idx >= 0:
+                a[t, :, k] = z[idx]
+    return a
 
 
 def wls_oracle(z, d, taps, delay, lam):
     """Independent brute-force solver: explicit per-(t, k) stacking and a
     weighted pseudo-inverse, one bin at a time."""
-    n_frames, n_bins = z.shape
-    g = np.zeros((n_bins, taps), dtype=complex)
-    for f in range(n_bins):
-        a = np.zeros((n_frames, taps), dtype=complex)
-        for t in range(n_frames):
-            for k in range(taps):
-                idx = t - delay - k
-                if idx >= 0:
-                    a[t, k] = z[idx, f]
+    stack = stack_oracle(z, taps, delay)
+    g = np.zeros((z.shape[1], taps), dtype=complex)
+    for f in range(z.shape[1]):
         sw = np.sqrt(1.0 / lam[:, f])
-        coef = np.linalg.pinv(sw[:, None] * a) @ (sw * d[:, f])
+        coef = np.linalg.pinv(sw[:, None] * stack[:, f]) @ (sw * d[:, f])
         g[f] = np.conj(coef)
     return g
+
+
+def prediction_oracle(filters, z, delay):
+    """g(f)^H z_tilde(t - delay, f) for every frame and bin, on the
+    explicit stack."""
+    return np.einsum("tfk,fk->tf", stack_oracle(z, filters.shape[1], delay),
+                     np.conj(filters))
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Relative agreement in the Frobenius norm."""
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
 
 
 def random_instance(rng, taps_max=8, frames_max=64, bins_max=8):
@@ -147,7 +165,7 @@ def test_pred_config_validation():
 def test_identity_filter():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
-    bank = solve_wls(z, z, 4, 0, np.ones((64, 5)))
+    _, bank = solve_wls(z, z, 4, 0, np.ones((64, 5)))
     expected = np.zeros((5, 4))
     expected[:, 0] = 1.0
     # deviation from e1 is induced by the diagonal loading (~diag_load)
@@ -157,8 +175,8 @@ def test_identity_filter():
 def test_zero_target_zero_filter():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-    bank = solve_wls(z, np.zeros_like(z), 4, 1, np.ones((32, 3)))
-    assert np.all(bank.filters == 0)
+    pred, bank = solve_wls(z, np.zeros_like(z), 4, 1, np.ones((32, 3)))
+    assert np.all(bank.filters == 0) and np.all(pred == 0)
 
 
 def block_instance(rng, delay):
@@ -182,7 +200,7 @@ def test_solver_matches_bruteforce_oracle(case):
                                                 BLOCK_CASES[case])
     else:
         z, d, taps, delay, lam = random_instance(np.random.default_rng(case))
-    bank = solve_wls(z, d, taps, delay, lam, diag_load=0.0)
+    _, bank = solve_wls(z, d, taps, delay, lam, diag_load=0.0)
     expected = wls_oracle(z, d, taps, delay, lam)
     err = np.linalg.norm(bank.filters - expected) / np.linalg.norm(expected)
     assert err < 1e-8
@@ -214,7 +232,7 @@ def test_singular_bin_falls_back_alone(monkeypatch, caplog):
         lstsq_calls.clear()
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="dereverb"):
-            bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
+            _, bank = solve_wls(z, d, taps, 0, lam, diag_load=0.0)
         assert lstsq_calls == [(taps, taps)]
         records = [r for r in caplog.records if r.name == "dereverb.convpred"]
         assert [r.levelno for r in records] == [logging.WARNING]
@@ -223,7 +241,7 @@ def test_singular_bin_falls_back_alone(monkeypatch, caplog):
         caplog.clear()
 
         healthy = [0, 2]
-        alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
+        _, alone = solve_wls(z[:, healthy], d[:, healthy], taps, 0, lam[:, healthy],
                           diag_load=0.0)
         assert not caplog.records
         err = (np.linalg.norm(bank.filters[healthy] - alone.filters)
@@ -259,8 +277,8 @@ def test_solver_overflowing_load_is_a_numerical_failure():
 # bin ranges on worker threads
 
 def run_on_workers(monkeypatch, workers, fn, *args, **kwargs):
-    """fn(*args, **kwargs) with solve_wls/apply_filter split over
-    ``workers`` threads (at most one per bin)."""
+    """fn(*args, **kwargs) with solve_wls split over ``workers`` threads (at
+    most one per bin)."""
     with monkeypatch.context() as m:
         m.setattr(convpred, "_bin_workers", lambda n_bins: min(workers, n_bins))
         return fn(*args, **kwargs)
@@ -284,15 +302,17 @@ def ranged_instance(bins, delay, taps=4, frames=40):
 
 class KernelSpy:
     """A kernel provider, recording the number of bins of every Gram block
-    it multiplies."""
+    it multiplies and whether it accumulated."""
 
     def __init__(self, kernels):
         self.kernels = kernels
         self.grams = []
+        self.accumulated = 0
 
-    def gram(self, m, out):
+    def gram(self, m, out, accumulate=False):
         self.grams.append(m.shape[0])
-        self.kernels.gram(m, out)
+        self.accumulated += accumulate
+        self.kernels.gram(m, out, accumulate)
 
     def __getattr__(self, name):
         return getattr(self.kernels, name)
@@ -309,10 +329,10 @@ def solver_paths():
 @pytest.mark.parametrize("delay", [0, 3])
 @pytest.mark.parametrize("bins", [1, 3, _BIN_BLOCK - 1, 2 * _BIN_BLOCK + 3, 129])
 def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
-    """On either kernel provider: the same filters on 1, 2 and 3 workers, the
-    singular bin sent to lstsq once per call, and the workers together
-    buffering no more bins than one thread does; on any worker count,
-    apply_filter gives each bin's own product g^H z_tilde, bit for bit."""
+    """On either kernel provider: the same filters and prediction on 1, 2
+    and 3 workers, the singular bin sent to lstsq once per call, and the
+    workers together buffering no more bins than one thread does; the
+    prediction is each bin's own g^H z_tilde to 1e-12 relative."""
     z, d, taps, delay, lam = ranged_instance(bins, delay)
     lstsq_calls = []
     lstsq = np.linalg.lstsq
@@ -325,7 +345,7 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
     solve_range = convpred._solve_range
 
     def block_spy(*args):
-        blocks.append(len(args[-1].aug))
+        blocks.append(len(args[-1].products))
         return solve_range(*args)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
@@ -333,36 +353,35 @@ def test_solver_bit_identical_on_any_worker_count(monkeypatch, bins, delay):
     for kernels in solver_paths():
         monkeypatch.setattr(_blas, "numpy_kernels", lambda: kernels)
         lstsq_calls.clear()
-        one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay, lam,
-                             diag_load=0.0).filters
+        pred, one = run_on_workers(monkeypatch, 1, solve_wls, z, d, taps, delay,
+                                   lam, diag_load=0.0)
         assert len(lstsq_calls) == 1
-        stack = build_stack(z, taps, delay)
-        per_bin = np.stack([stack[f] @ np.conj(one[f]) for f in range(bins)], axis=1)
+        assert_close(pred, prediction_oracle(one.filters, z, delay))
         for workers in (2, 3):
             blocks.clear()
             kernels.grams.clear()
-            many = run_on_workers(monkeypatch, workers, solve_wls, z, d, taps,
-                                  delay, lam, diag_load=0.0).filters
-            np.testing.assert_array_equal(many, one)
+            many_pred, many = run_on_workers(monkeypatch, workers, solve_wls, z, d,
+                                             taps, delay, lam, diag_load=0.0)
+            np.testing.assert_array_equal(many.filters, one.filters)
+            np.testing.assert_array_equal(many_pred, pred)
             assert len(blocks) == min(workers, bins)
             assert len(blocks) * max(blocks) <= _BIN_BLOCK
             # no Gram block outgrows a worker's share
             assert kernels.grams and max(kernels.grams) <= max(blocks)
-            for w in (1, workers):
-                np.testing.assert_array_equal(run_on_workers(
-                    monkeypatch, w, apply_filter, FilterBank(one, delay), z), per_bin)
         assert len(lstsq_calls) == 3
+        assert np.all(pred[:delay] == 0)
         if bins > 1:
-            assert np.all(one[0] == 0)
+            assert np.all(one.filters[0] == 0) and np.all(pred[:, 0] == 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 3),
        st.integers(1, 6), st.integers(0, 24))
 def test_kernel_and_numpy_paths_agree(seed, taps, delay, bins, spare):
-    """The OpenBLAS kernels and the numpy/scipy fallback agree to 1e-12
-    relative on overdetermined problems, and both stay within C1's 1e-8 of
-    the pseudo-inverse oracle."""
+    """On Gram matrices summed over tiles of 3 frames, the OpenBLAS kernels
+    and the numpy/scipy fallback agree to 1e-12 relative on overdetermined
+    problems, and both stay within C1's 1e-8 of the pseudo-inverse
+    oracle."""
     rng = np.random.default_rng(seed)
     frames = 2 * taps + delay + 2 + spare
     z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
@@ -372,12 +391,64 @@ def test_kernel_and_numpy_paths_agree(seed, taps, delay, bins, spare):
     for kernels in solver_paths():
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_blas, "numpy_kernels", lambda: kernels)
-            solved.append(solve_wls(z, d, taps, delay, lam, diag_load=0.0).filters)
-    plain = solved[0]
+            m.setattr(convpred, "_TILE", 3)
+            solved.append(solve_wls(z, d, taps, delay, lam, diag_load=0.0))
+        assert kernels.accumulated > 0
+    plain_pred, plain = solved[0][0], solved[0][1].filters
     expected = wls_oracle(z, d, taps, delay, lam)
-    for filters in solved:
-        assert np.linalg.norm(filters - plain) <= 1e-12 * np.linalg.norm(plain)
-        assert np.linalg.norm(filters - expected) < 1e-8 * np.linalg.norm(expected)
+    for pred, bank in solved:
+        assert_close(bank.filters, plain)
+        assert_close(pred, plain_pred)
+        assert_close(bank.filters, expected, 1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 3),
+       st.integers(1, 6), st.integers(0, 30), st.integers(1, 3),
+       st.sampled_from([3, 7, 10 ** 6]))
+def test_tiled_prediction_matches_reference(seed, taps, delay, bins, spare,
+                                            workers, tile):
+    """On 1 to 3 workers and in tiles of 3, 7 or any number of frames, the
+    prediction is the explicit stack's g^H z_tilde to 1e-12 relative, 0
+    before the delay, and the filters match the untiled solve to 1e-12;
+    when one tile covers the frames, both are bit-identical to it."""
+    rng = np.random.default_rng(seed)
+    frames = 2 * taps + delay + 2 + spare
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    lam = rng.uniform(0.1, 10.0, (frames, bins))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(convpred, "_bin_workers", lambda n_bins: min(workers, n_bins))
+        m.setattr(convpred, "_TILE", 10 ** 6)
+        untiled_pred, untiled = solve_wls(z, d, taps, delay, lam)
+        m.setattr(convpred, "_TILE", tile)
+        pred, bank = solve_wls(z, d, taps, delay, lam)
+    assert_close(pred, prediction_oracle(bank.filters, z, delay))
+    assert np.all(pred[:delay] == 0)
+    assert_close(bank.filters, untiled.filters)
+    if tile >= frames - delay:
+        np.testing.assert_array_equal(bank.filters, untiled.filters)
+        np.testing.assert_array_equal(pred, untiled_pred)
+
+
+@pytest.mark.parametrize("delay", [0, 3])
+def test_three_tiles_match_the_untiled_solve(monkeypatch, delay):
+    """An input of three tiles of _TILE frames gives the filters and the
+    prediction of one untiled solve to 1e-12 relative."""
+    frames, bins, taps = 2 * _TILE + 300, 5, 8
+    rng = np.random.default_rng(23)
+    z = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    lam = rng.uniform(0.1, 10.0, (frames, bins))
+    spy = KernelSpy(_blas.numpy_kernels())
+    monkeypatch.setattr(_blas, "numpy_kernels", lambda: spy)
+    pred, bank = solve_wls(z, d, taps, delay, lam)
+    assert spy.accumulated == 2 * len(spy.grams) // 3
+    monkeypatch.setattr(convpred, "_TILE", frames)
+    untiled_pred, untiled = solve_wls(z, d, taps, delay, lam)
+    assert_close(bank.filters, untiled.filters)
+    assert_close(pred, untiled_pred)
+    assert_close(pred, prediction_oracle(bank.filters, z, delay))
 
 
 def test_algorithms_bit_identical_on_any_worker_count(monkeypatch, reverb_scene,
@@ -455,46 +526,46 @@ def long_instance(frames=4000, bins=64):
     return z, d, rng.uniform(0.5, 2.0, (frames, bins))
 
 
+def worker_buffers(workers, taps, frames):
+    """Bytes of the workspaces of ``workers`` bin workers: the (block, K+1,
+    tile) stack, products, factors and one block's tile rows of the padded
+    stack source and the weights, with tile = min(T, _TILE)."""
+    block, tile = _BIN_BLOCK // workers, min(frames, _TILE)
+    complex_items = ((taps + 1) * tile + (taps + 1) ** 2 + taps ** 2
+                     + taps - 1 + tile)
+    return workers * block * (16 * complex_items + 8 * tile)
+
+
 def test_solver_memory_is_the_workers_buffers(monkeypatch):
     """On a long problem, solve_wls allocates no more than each worker's
-    (block, K+1, T) stack, products, factors and one block's rows of the
-    padded stack source and the weights, plus its filters and a margin that
-    does not grow with T: no worker copies its whole bin range."""
+    tile-sized buffers, plus its filters, its (T, F) prediction and a margin
+    that does not grow with T: no worker copies its whole bin range or its
+    bins' whole stack."""
     if not isinstance(_blas.numpy_kernels(), _blas.Kernels):
         pytest.skip("the numpy/scipy fallback's Gram copies each block")
     z, d, lam = long_instance()
     (frames, bins), taps, workers = z.shape, 8, 2
-    bank, peak = traced_peak(run_on_workers, monkeypatch, workers, solve_wls,
-                             z, d, taps, 0, lam)
-    block = _BIN_BLOCK // workers
-    assert bins // workers > block         # a worker's range spans blocks
-    complex_items = ((taps + 1) * frames + (taps + 1) ** 2 + taps ** 2
-                     + taps - 1 + frames)
-    buffers = workers * block * (16 * complex_items + 8 * frames)
-    assert peak <= buffers + bank.filters.nbytes + 2 ** 20
+    (pred, bank), peak = traced_peak(run_on_workers, monkeypatch, workers,
+                                     solve_wls, z, d, taps, 0, lam)
+    assert bins // workers > _BIN_BLOCK // workers  # a range spans blocks
+    assert frames > 2 * _TILE                       # and a block spans tiles
+    assert peak <= (worker_buffers(workers, taps, frames) + bank.filters.nbytes
+                    + pred.nbytes + 2 ** 20)
 
 
-@pytest.mark.parametrize("delay", [0, 3])
-def test_apply_filter_memory_is_one_padded_copy(monkeypatch, delay):
-    z, _, _ = long_instance()
-    (frames, bins), taps = z.shape, 8
-    bank = FilterBank(np.ones((bins, taps)), delay)
-    pred, peak = traced_peak(run_on_workers, monkeypatch, 2, apply_filter, bank, z)
-    padded = (frames + delay + taps - 1) * bins * 16
-    assert peak <= pred.nbytes + padded + 2 ** 16
-
-
-def test_fcp_memory_is_its_outputs_and_one_padded_copy(monkeypatch):
-    """Beyond its filters, x_hat and output, fcp allocates at most the
-    stack's padded copy of the estimate: no full-size intermediate for the
+def test_fcp_memory_is_its_outputs_and_the_solver_buffers(monkeypatch):
+    """Beyond its filters, x_hat (the solver's prediction) and output, fcp
+    allocates at most the solver's tile-sized buffers and a margin: no
+    padded copy of the estimate, and no full-size intermediate for the
     output or for the check that its two forms agree."""
+    if not isinstance(_blas.numpy_kernels(), _blas.Kernels):
+        pytest.skip("the numpy/scipy fallback's Gram copies each block")
     y, est, lam = long_instance()
-    (frames, bins), taps = y.shape, 8
-    bank = solve_wls(est, y, taps, 0, lam)
-    monkeypatch.setattr(convpred, "solve_wls", lambda *args, **kwargs: bank)
-    (shat, filters, xhat), peak = traced_peak(fcp, y, est, taps, weights=lam)
-    padded = (frames + taps - 1) * bins * 16
-    assert peak <= shat.nbytes + xhat.nbytes + filters.filters.nbytes + padded + 2 ** 16
+    (frames, bins), taps, workers = y.shape, 8, 2
+    (shat, filters, xhat), peak = traced_peak(run_on_workers, monkeypatch, workers,
+                                              fcp, y, est, taps, weights=lam)
+    assert peak <= (shat.nbytes + xhat.nbytes + filters.filters.nbytes
+                    + worker_buffers(workers, taps, frames) + 2 ** 20)
 
 
 def test_first_order_optimality():
@@ -506,14 +577,13 @@ def test_first_order_optimality():
     d = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
     lam = rng.uniform(0.2, 5.0, (frames, bins))
     diag_load = 1e-6
-    bank = solve_wls(z, d, taps, 0, lam, diag_load)
+    _, bank = solve_wls(z, d, taps, 0, lam, diag_load)
 
-    stack = build_stack(z, taps, 0)
-    inv_w = (1.0 / lam).T[:, :, None]
-    load = diag_load * np.einsum("ftk,ftk->f", stack.conj() * inv_w, stack).real / taps
+    stack = stack_oracle(z, taps, 0)                # (T, F, K)
+    load = diag_load * np.sum(np.abs(stack) ** 2 / lam[:, :, None], axis=(0, 2)) / taps
 
     def objective(filters):
-        pred = apply_filter(FilterBank(filters, 0), z)
+        pred = np.einsum("tfk,fk->tf", stack, np.conj(filters))
         quad = np.sum(np.abs(d - pred) ** 2 / lam)
         return quad + np.sum(load * np.sum(np.abs(filters) ** 2, axis=1))
 
@@ -527,13 +597,18 @@ def test_first_order_optimality():
 
 
 def test_stack_layout():
+    """The reference stack at delay 1 holds [z(t-1), z(t-2), z(t-3)] at frame
+    t, and each tile the solver fills holds that stack's frames."""
     z = np.arange(1, 7, dtype=complex).reshape(6, 1)  # one bin: 1..6
-    stack = build_stack(z, 3, 1)  # (F=1, T=6, K=3)
-    # frame t stacks [z(t-1), z(t-2), z(t-3)]
-    np.testing.assert_array_equal(stack[0, 0], [0, 0, 0])
-    np.testing.assert_array_equal(stack[0, 1], [1, 0, 0])
-    np.testing.assert_array_equal(stack[0, 3], [3, 2, 1])
-    np.testing.assert_array_equal(stack[0, 5], [5, 4, 3])
+    stack = stack_oracle(z, 3, 1)[:, 0]               # (T=6, K=3)
+    np.testing.assert_array_equal(stack[0], [0, 0, 0])
+    np.testing.assert_array_equal(stack[1], [1, 0, 0])
+    np.testing.assert_array_equal(stack[3], [3, 2, 1])
+    np.testing.assert_array_equal(stack[5], [5, 4, 3])
+    zp = np.full((1, 2 + 3), np.nan, dtype=complex)
+    for c0, c1 in [(0, 3), (3, 5), (1, 2)]:           # columns j are frames 1 + j
+        tile = convpred._fill_tile(z, 0, 1, c0, c1, 3, zp)
+        np.testing.assert_array_equal(tile[0].T, stack[1 + c0:1 + c1])
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +628,12 @@ def test_trivial_solution_at_zero_delay():
     exactly by the identity filter with zero residual."""
     rng = np.random.default_rng(5)
     y = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
-    bank = solve_wls(y, y, 5, 0, np.ones((64, 3)), diag_load=0.0)
+    pred, bank = solve_wls(y, y, 5, 0, np.ones((64, 3)), diag_load=0.0)
     expected = np.zeros((3, 5))
     expected[:, 0] = 1.0
     np.testing.assert_allclose(bank.filters, expected, atol=1e-10)
-    resid = y - apply_filter(bank, y)
-    assert np.abs(resid).max() < 1e-10
+    assert np.abs(y - prediction_oracle(bank.filters, y, 0)).max() < 1e-10
+    assert np.abs(y - pred).max() < 1e-10
 
 
 def test_wpe_objective_pairs_nonincreasing(reverb_scene, cfg8k):
@@ -569,34 +644,36 @@ def test_wpe_objective_pairs_nonincreasing(reverb_scene, cfg8k):
 
 
 def test_wpe_vanilla_applies_each_filter_once(monkeypatch, reverb_scene, cfg8k):
-    """Each iteration's first objective reuses the previous residual: one
-    apply_filter call per iteration, iters - 1 fewer than re-applying the
-    previous filter, with identical outputs."""
+    """Each iteration solves once and reuses the previous residual for its
+    first objective: iters solve_wls calls, with the outputs of a loop that
+    re-applies the previous filter to the explicit stack."""
     y = analyze(reverb_scene.y, cfg8k).data
     cfg = PredConfig.for_wpe()
     calls = []
-    apply = convpred.apply_filter
+    solve = convpred.solve_wls
 
-    def counting_apply(filters, z):
-        calls.append(filters)
-        return apply(filters, z)
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(convpred, "apply_filter", counting_apply)
+    monkeypatch.setattr(convpred, "solve_wls", counting_solve)
     shat, bank, trace = wpe_vanilla(y, cfg)
     assert len(calls) == cfg.iters
 
     lam = _floored_power(np.abs(y) ** 2, cfg.eps)
     filters, expected_trace = None, np.zeros((cfg.iters, 2))
     for i in range(cfg.iters):  # re-applies the previous filter
-        resid_prev = y - apply(filters, y) if filters is not None else y
+        resid_prev = (y - prediction_oracle(filters.filters, y, cfg.delay)
+                      if filters is not None else y)
         expected_trace[i, 0] = np.sum(np.abs(resid_prev) ** 2 / lam)
-        filters = solve_wls(y, y, cfg.taps, cfg.delay, lam, cfg.diag_load)
-        expected = y - apply(filters, y)
+        pred, filters = solve(y, y, cfg.taps, cfg.delay, lam, cfg.diag_load)
+        expected = y - pred
         expected_trace[i, 1] = np.sum(np.abs(expected) ** 2 / lam)
         lam = _floored_power(np.abs(expected) ** 2, cfg.eps)
     np.testing.assert_array_equal(shat, expected)
     np.testing.assert_array_equal(bank.filters, filters.filters)
-    np.testing.assert_array_equal(trace, expected_trace)
+    np.testing.assert_array_equal(trace[:, 1], expected_trace[:, 1])
+    assert_close(trace[:, 0], expected_trace[:, 0])
 
 
 def test_wpe_keeps_anechoic_input_roughly_intact(cfg8k):
@@ -660,9 +737,10 @@ def test_supplied_unit_weights_is_plain_least_squares():
     rng = np.random.default_rng(7)
     y = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
     shat, bank = wpe_supplied(y, np.ones((64, 4)), taps=5, delay=2)
-    ref = solve_wls(y, y, 5, 2, np.ones((64, 4)))
+    pred, ref = solve_wls(y, y, 5, 2, np.ones((64, 4)))
     np.testing.assert_array_equal(bank.filters, ref.filters)
-    np.testing.assert_array_equal(shat, y - apply_filter(ref, y))
+    np.testing.assert_array_equal(shat, y - pred)
+    assert_close(pred, prediction_oracle(ref.filters, y, 2))
 
 
 def test_supplied_equals_vanilla_single_iteration(reverb_scene, cfg8k):
