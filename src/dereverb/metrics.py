@@ -65,25 +65,28 @@ def si_sdr(est, ref):
     if ref_energy == 0.0:
         raise ValueError("reference is all zero")
     alpha = float(np.dot(est, ref)) / ref_energy
-    err = est - alpha * ref
+    err = alpha * ref
+    np.subtract(est, err, out=err)
     return _to_db(alpha * alpha * ref_energy, float(np.dot(err, err)))
 
 
 def _spectra(est, ref):
     """(n, R, X) of a validated pair: n = est.size + ref.size, R the
     reference spectrum and X = E conj(R) the cross spectrum, both zero-padded
-    to n. irfft(|R|^2)[k] and irfft(X)[k] are the linear correlations
-    sum_t ref(t) ref(t - k) and sum_t est(t) ref(t - k) for 0 <= k < N."""
+    to n, from one rfft call on both signals. irfft(|R|^2)[k] and irfft(X)[k]
+    are the linear correlations sum_t ref(t) ref(t - k) and
+    sum_t est(t) ref(t - k) for 0 <= k < N."""
     n = est.size + ref.size
-    spec_ref = np.fft.rfft(ref, n=n)
-    return n, spec_ref, np.fft.rfft(est, n=n) * np.conj(spec_ref)
+    spec_ref, cross = np.fft.rfft(np.stack([ref, est]), n=n)
+    cross *= np.conj(spec_ref)
+    return n, spec_ref, cross
 
 
 def _autocorrelation(n, spec_ref, n_taps):
     """sum_t ref(t) ref(t - k) for 0 <= k < n_taps, from ``_spectra``."""
     power = np.conj(spec_ref)
     power *= spec_ref                 # |R|^2; the imaginary parts are exactly 0
-    return np.fft.irfft(power, n=n)[:n_taps]
+    return np.fft.irfft(power, n=n)[:n_taps].copy()
 
 
 def _toeplitz(r):
@@ -177,10 +180,12 @@ def _check_gcc(est, ref, max_lag):
 
 def _gcc_from_cross(cross, n, max_lag):
     """gcc_phat_delay of a pair validated for ``max_lag``, from its cross
-    spectrum."""
+    spectrum, which is overwritten by its phase transform."""
     mag = np.abs(cross)
-    phat = np.divide(cross, mag, out=np.zeros_like(cross), where=mag > 1e-12)
-    cc = np.fft.irfft(phat, n=n)
+    small = mag <= 1e-12
+    np.divide(cross, mag, out=cross, where=~small)
+    cross[small] = 0.0
+    cc = np.fft.irfft(cross, n=n)
     cc = np.concatenate([cc[-max_lag:], cc[:max_lag + 1]])
     return int(np.argmax(cc)) - max_lag
 
@@ -232,13 +237,14 @@ class Reference:
         si = si_sdr(est, self.ref)
         est, ref = _check_pair(est, self.ref, min_len=SDR_TAPS)
         if self._spectrum is None:
-            n = est.size + ref.size
-            spec_ref = np.fft.rfft(ref, n=n)
+            n, spec_ref, cross = _spectra(est, ref)
             normal = _NormalEquations(_autocorrelation(n, spec_ref, SDR_TAPS),
                                       _SDR_LOAD)
             self._spectrum = n, spec_ref, normal
-        n, spec_ref, normal = self._spectrum
-        cross = np.fft.rfft(est, n=n) * np.conj(spec_ref)
+        else:
+            n, spec_ref, normal = self._spectrum
+            cross = np.fft.rfft(est, n=n)
+            cross *= np.conj(spec_ref)
         sdr = _sdr_from_spectra(est, n, cross, normal)
         _check_gcc(est, ref, max_lag)
         return MetricsReport(si_sdr=si, sdr_512=sdr,

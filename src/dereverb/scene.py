@@ -8,6 +8,10 @@ optional noise, and keeps every component so that y = s + h + v holds
 sample-exact by construction. ``target_estimates`` turns signals, such
 as the sources' direct paths, into the STFT estimates the predictors take.
 
+Everything runs on numpy: convolutions on real FFTs of a 5-smooth size,
+the test sources' resonators as one division on an FFT grid, and their
+gate's smoothing as running sums of the kernel. No scipy module loads.
+
 Scenes are immutable once built and safe to share between threads.
 """
 
@@ -207,16 +211,22 @@ class Scene:
         return _residual_sum(self.direct, self.wet, self.noise)
 
 
-def _residual_sum(direct, wet, noise):
-    """Sum of non-target images plus noise, in a fixed evaluation order."""
-    v = noise.copy()
+def _residual_sum(direct, wet, noise, out=None):
+    """Sum of non-target images plus noise, in a fixed evaluation order,
+    written to ``out`` if given."""
+    if out is None:
+        out = np.empty_like(noise)
+    np.copyto(out, noise)
     for c in range(len(direct) - 1, 0, -1):
-        v = (direct[c] + wet[c]) + v
-    return v
+        out += direct[c] + wet[c]
+    return out
 
 
-def _assemble(direct, wet, noise):
-    return (direct[0] + wet[0]) + _residual_sum(direct, wet, noise)
+def _assemble(direct, wet, noise, out=None):
+    """The mixture (direct[0] + wet[0]) + v, written to ``out`` if given."""
+    y = _residual_sum(direct, wet, noise, out)
+    y += direct[0] + wet[0]
+    return y
 
 
 def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
@@ -252,14 +262,11 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
     if len(rates) != 1 or rates == {0}:
         raise ValueError("all RIRs must carry one common sample_rate")
     fs = rates.pop()
-    # imported on first use: scipy.signal costs ~1 s to import and only scenes need it
-    from scipy.signal import fftconvolve
+    if noise is not None:
+        _check_snr("snr_db", snr_db)
 
-    direct = []
-    wet = []
-    for d, rir in zip(dry, rirs):
-        direct.append(fftconvolve(d, rir.direct)[:n])
-        wet.append(fftconvolve(d, rir.early + rir.late)[:n])
+    direct, wet = zip(*(_convolve(d, np.stack([rir.direct, rir.early + rir.late]), n)
+                        for d, rir in zip(dry, rirs)))
 
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
@@ -282,11 +289,11 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
         if var == 0.0:
             raise ValueError("cannot normalize an all-zero mixture")
         scale = 1.0 / math.sqrt(var)
+        # the images and the noise are this function's own arrays; dry is the caller's
         dry = [d * scale for d in dry]
-        direct = [s * scale for s in direct]
-        wet = [h * scale for h in wet]
-        noise = noise * scale
-        y = _assemble(direct, wet, noise)
+        for x in (*direct, *wet, noise):
+            x *= scale
+        y = _assemble(direct, wet, noise, out=y)
 
     return Scene(
         sample_rate=fs,
@@ -302,9 +309,13 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
 
 
 def degrade(signal, error_snr_db, seed):
-    """Add seeded white noise at 10 log10(||s||^2 / ||e||^2) = error_snr_db."""
+    """Add seeded white noise at 10 log10(||s||^2 / ||e||^2) = error_snr_db.
+
+    +inf adds no noise (an oracle copy); NaN and -inf raise ValueError.
+    """
     s = np.asarray(signal, dtype=np.float64)
-    if math.isinf(error_snr_db):
+    _check_snr("error_snr_db", error_snr_db)
+    if error_snr_db == math.inf:
         return s.copy()
     e_s = float(np.sum(s ** 2))
     if e_s == 0.0:
@@ -313,6 +324,12 @@ def degrade(signal, error_snr_db, seed):
     e = rng.standard_normal(s.size)
     e *= math.sqrt(e_s / (float(np.sum(e ** 2)) * 10.0 ** (error_snr_db / 10.0)))
     return s + e
+
+
+def _check_snr(name, snr_db):
+    """An SNR is a number or +inf (no noise); NaN and -inf mean nothing."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"{name} must be a number or +inf, got {snr_db}")
 
 
 def target_estimates(signals, cfg, error_snr_db=None, seeds=()):
@@ -338,18 +355,16 @@ def synth_speech(n_samples, sample_rate, seed):
     on/off envelope leaves low-energy gaps, so the T-F weighting in the
     predictors has something to do. Unit sample variance, zero mean.
     """
-    # imported on first use: scipy.signal costs ~1 s to import and only scenes need it
-    from scipy.signal import fftconvolve, lfilter
-
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
 
     # cascade of two AR(2) resonators at randomized center frequencies
+    a = np.ones(1)
     for lo, hi, radius in ((300.0, 900.0, 0.97), (1200.0, 2600.0, 0.90)):
         f0 = rng.uniform(lo, min(hi, 0.45 * sample_rate))
         theta = 2.0 * math.pi * f0 / sample_rate
-        a = [1.0, -2.0 * radius * math.cos(theta), radius ** 2]
-        x = lfilter([1.0], a, x)
+        a = np.convolve(a, [1.0, -2.0 * radius * math.cos(theta), radius ** 2])
+    x = _all_pole(x, a)
 
     # syllabic bursts: ~4 Hz random gate, smoothed to avoid clicks
     block = max(1, int(round(0.25 * sample_rate)))
@@ -357,15 +372,77 @@ def synth_speech(n_samples, sample_rate, seed):
     gains = rng.uniform(0.25, 1.0, size=n_blocks) * (rng.random(n_blocks) < 0.75)
     if not np.any(gains):
         gains[rng.integers(n_blocks)] = 1.0
-    gate = np.repeat(gains, block)[:n_samples]
     smooth = max(1, int(round(0.05 * sample_rate)))
     kernel = np.hanning(2 * smooth + 1)
     kernel /= kernel.sum()
-    gate = fftconvolve(gate, kernel, mode="same")
-    x = x * gate
+    x *= _smooth_gate(gains, block, n_samples, kernel)
 
-    x = x - x.mean()
+    x -= x.mean()
     std = x.std()
     if std == 0.0:
         raise ValueError("degenerate synthetic source")
-    return x / std
+    x /= std
+    return x
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels: linear convolution and all-pole filtering on real FFTs
+
+# samples for a pole of radius 0.97 to decay below 2**-89 (0.97**2048)
+_POLE_TAIL = 2048
+
+
+def _fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a real FFT size numpy transforms
+    quickly, the one ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(x, taps, n):
+    """First n samples of the linear convolution of x with each row of
+    ``taps``: one rfft of x, one of all the rows and one inverse, at the
+    size that holds the whole convolution."""
+    size = _fast_len(x.size + taps.shape[-1] - 1)
+    spectra = np.fft.rfft(taps, size)
+    spectra *= np.fft.rfft(x, size)
+    return np.fft.irfft(spectra, size)[..., :n]
+
+
+def _all_pole(x, a):
+    """``lfilter([1], a, x)`` for a stable all-pole filter whose poles lie
+    within radius 0.97: one division by a's spectrum, on a grid _POLE_TAIL
+    samples longer than x, so the response that wraps around is below 2**-89
+    of the output."""
+    size = _fast_len(x.size + _POLE_TAIL)
+    spectrum = np.fft.rfft(x, size)
+    spectrum /= np.fft.rfft(a, size)
+    return np.fft.irfft(spectrum, size)[:x.size]
+
+
+def _smooth_gate(gains, block, n, kernel):
+    """``np.convolve(gate, kernel)`` centred on the gate's n samples (the
+    "same" mode) for the gate that holds ``gains[b]`` on samples
+    [b * block, (b + 1) * block), without an FFT. The gate is a sum of
+    steps, one at each block start and one down to 0 at n; a step convolved
+    with the kernel is the kernel's running sum, then the kernel's sum."""
+    k = kernel.size
+    ramp = np.cumsum(kernel)
+    edges = np.minimum(np.arange(gains.size + 1) * block, n)
+    jumps = np.diff(gains, prepend=0.0, append=0.0)
+    # the full convolution's first n + k samples: each gain is held from k
+    # samples past its block's start, and each step ramps in before that
+    full = np.repeat(np.concatenate(([0.0], gains)) * ramp[-1],
+                     np.concatenate(([k], np.diff(edges))))
+    for edge, jump in zip(edges, jumps):
+        if jump:
+            full[edge:edge + k] += jump * ramp
+    start = (k - 1) // 2
+    return full[start:start + n]

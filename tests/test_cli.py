@@ -968,28 +968,34 @@ print(json.dumps(seen))
 """
 
 
-def test_dereverb_and_evaluate_processes_never_import_scipy(scene_dir, tmp_path):
+def test_cli_processes_never_import_scipy(tmp_path):
     """Importing scipy costs more than a CLI process's work on one 4 s
-    scene, and only scene rendering needs it: a fresh interpreter that
-    imports the CLI and runs dereverb and evaluate loads no scipy module;
-    simulate loads scipy.signal."""
-    mix, ref = str(scene_dir / "y.wav"), str(scene_dir / "s.wav")
+    scene: a fresh interpreter that imports the CLI and runs simulate,
+    dereverb and evaluate on that scene, and a small experiment, loads no
+    scipy module after any of them."""
+    scene, out = tmp_path / "scene", tmp_path / "out"
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(small_sweep(
+        seeds=[0], estimate_error_snr_db=[None, 10.0],
+        algorithms=["fcp", "icp", "wpe_vanilla"])))
     runs = [
-        ["dereverb", "--mixture", mix, "--reference", ref, "--algorithm", "fcp",
-         "--output", str(tmp_path / "e.wav"), "--report", str(tmp_path / "r.json")],
-        ["evaluate", "--estimate", str(tmp_path / "e.wav"), "--reference", ref],
-        ["simulate", "--out-dir", str(tmp_path / "sim"), "--sample-rate",
-         "8000", "--duration-s", "0.5"],
+        ["simulate", "--out-dir", str(scene), "--sample-rate", "8000",
+         "--duration-s", "1", "--snr-db", "20"],
+        ["dereverb", "--mixture", str(scene / "y.wav"), "--reference",
+         str(scene / "s.wav"), "--algorithm", "fcp", "--output",
+         str(out / "e.wav"), "--report", str(out / "r.json")],
+        ["evaluate", "--estimate", str(out / "e.wav"), "--reference",
+         str(scene / "s.wav")],
+        ["experiment", "--config", str(sweep), "--output", str(out / "sweep.json")],
     ]
+    out.mkdir()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, json.dumps(runs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout)
-    assert seen[:3] == [[], [EXIT_OK, []], [EXIT_OK, []]]
-    assert seen[3][0] == EXIT_OK and "scipy.signal" in seen[3][1]
+    assert json.loads(done.stdout) == [[]] + [[EXIT_OK, []]] * len(runs)
 
 
 # ---------------------------------------------------------------------------

@@ -282,9 +282,9 @@ def test_evaluate_pair_runs_two_forward_and_three_inverse_ffts(ref, monkeypatch)
     for name in counts:
         fft = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _fft=fft, **kwargs):
-            counts[_name] += 1
-            return _fft(*args, **kwargs)
+        def counted(a, *args, _name=name, _fft=fft, **kwargs):
+            counts[_name] += np.asarray(a)[..., 0].size  # one transform per row
+            return _fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     evaluate_pair(ref + 0.1 * np.roll(ref, 3), ref)

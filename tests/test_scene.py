@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dereverb import (Rir, RirSpec, analyze, cli, degrade, gen_rir, read_wav,
                       render_scene, si_sdr, split_rir, strip_late, synth_speech,
                       target_estimates, write_wav)
+from dereverb.scene import _all_pole, _convolve, _fast_len, _smooth_gate
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,144 @@ def test_scene_determinism():
     np.testing.assert_array_equal(a.v, b.v)
 
 
+def test_snr_that_is_not_a_number_is_rejected():
+    """+inf renders no noise; NaN and -inf are no SNR at all."""
+    fs = 8000
+    dry = synth_speech(fs, fs, seed=1)
+    rir = gen_rir(RirSpec(fs, t60=0.3, direct_delay=24, seed=2))
+    noise = np.random.default_rng(3).standard_normal(fs)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            render_scene([dry], [rir], noise=noise, snr_db=bad)
+    scene = render_scene([dry], [rir], noise=noise, snr_db=math.inf)
+    assert not np.any(scene.noise) and np.all(np.isfinite(scene.y))
+    np.testing.assert_array_equal(scene.y, scene.s + scene.h)
+
+
+# ---------------------------------------------------------------------------
+# numpy scene kernels, against references that share none of their arithmetic
+
+def close(actual, expected, rtol=1e-12):
+    """Within rtol of expected, relative to expected's norm."""
+    return np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+def five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300_000))
+def test_fast_len_is_the_smallest_5_smooth_size(n):
+    size = _fast_len(n)
+    assert size >= n and five_smooth(size)
+    assert not any(five_smooth(m) for m in range(n, size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 400), st.integers(1, 3),
+       st.integers(1, 400), st.data())
+def test_convolve_matches_np_convolve(seed, n_x, rows, n_taps, data):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n_x)
+    taps = rng.standard_normal((rows, n_taps))
+    n = data.draw(st.integers(1, n_x + n_taps - 1))
+    out = _convolve(x, taps, n)
+    assert out.shape == (rows, n)
+    for row, expected in zip(out, taps):
+        assert close(row, np.convolve(x, expected)[:n])
+
+
+def all_pole_loop(x, a):
+    """y[t] = (x[t] - sum_k a[k] y[t - k]) / a[0], sample by sample."""
+    y = np.zeros_like(x)
+    for t in range(x.size):
+        acc = x[t]
+        for k in range(1, min(len(a), t + 1)):
+            acc -= a[k] * y[t - k]
+        y[t] = acc / a[0]
+    return y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([8000, 16000]),
+       st.integers(1, 3000))
+def test_all_pole_matches_the_recursion(seed, fs, n):
+    """Two resonators at random frequencies and radii up to 0.97."""
+    rng = np.random.default_rng(seed)
+    a = np.ones(1)
+    for lo, hi in ((300.0, 900.0), (1200.0, 2600.0)):
+        theta = 2.0 * math.pi * rng.uniform(lo, min(hi, 0.45 * fs)) / fs
+        radius = rng.uniform(0.0, 0.97)
+        a = np.convolve(a, [1.0, -2.0 * radius * math.cos(theta), radius ** 2])
+    x = rng.standard_normal(n)
+    assert close(_all_pole(x, a), all_pole_loop(x, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 600), st.integers(1, 80),
+       st.integers(1, 40))
+def test_smooth_gate_matches_np_convolve(seed, n, block, smooth):
+    rng = np.random.default_rng(seed)
+    n_blocks = -(-n // block)
+    gains = rng.uniform(0.25, 1.0, n_blocks) * (rng.random(n_blocks) < 0.75)
+    kernel = np.hanning(2 * smooth + 1)
+    kernel /= kernel.sum()
+    gate = np.repeat(gains, block)[:n]
+    # np.convolve's "same" mode, also where the kernel is the longer
+    expected = np.convolve(gate, kernel)[smooth:smooth + n]
+    if n >= kernel.size:
+        np.testing.assert_array_equal(expected, np.convolve(gate, kernel, "same"))
+    assert close(_smooth_gate(gains, block, n, kernel), expected)
+
+
+def scipy_synth_speech(n, fs, seed):
+    """synth_speech on scipy.signal's lfilter and fftconvolve."""
+    from scipy.signal import fftconvolve, lfilter
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    for lo, hi, radius in ((300.0, 900.0, 0.97), (1200.0, 2600.0, 0.90)):
+        theta = 2.0 * math.pi * rng.uniform(lo, min(hi, 0.45 * fs)) / fs
+        x = lfilter([1.0], [1.0, -2.0 * radius * math.cos(theta), radius ** 2], x)
+    block = round(0.25 * fs)
+    n_blocks = -(-n // block)
+    gains = rng.uniform(0.25, 1.0, size=n_blocks) * (rng.random(n_blocks) < 0.75)
+    if not np.any(gains):
+        gains[rng.integers(n_blocks)] = 1.0
+    kernel = np.hanning(2 * round(0.05 * fs) + 1)
+    kernel /= kernel.sum()
+    x = x * fftconvolve(np.repeat(gains, block)[:n], kernel, mode="same")
+    x = x - x.mean()
+    return x / x.std()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([8000, 16000]),
+       st.integers(1000, 12000), st.integers(1, 2), st.booleans())
+def test_scenes_match_scipy_signal(seed, fs, n, n_sources, noisy):
+    """Long enough that every image reaches the RIRs' tails, so none is
+    all zeros (which the FFTs render as round-off)."""
+    from scipy.signal import fftconvolve
+
+    dry = [synth_speech(n, fs, seed + c) for c in range(n_sources)]
+    for d, c in zip(dry, range(n_sources)):
+        assert close(d, scipy_synth_speech(n, fs, seed + c))
+    rirs = [gen_rir(RirSpec(fs, t60=0.3, direct_delay=24 + 32 * c, seed=seed + c))
+            for c in range(n_sources)]
+    noise = np.random.default_rng(seed).standard_normal(n) if noisy else None
+    scene = render_scene(dry, rirs, noise=noise, snr_db=10.0 if noisy else None)
+    for c, (d, rir) in enumerate(zip(dry, rirs)):
+        direct = fftconvolve(d, rir.direct)[:n]
+        wet = fftconvolve(d, rir.early + rir.late)[:n]
+        assert close(scene.direct[c], scene.scale * direct)
+        assert close(scene.wet[c], scene.scale * wet)
+    np.testing.assert_array_equal(scene.y, (scene.s + scene.h) + scene.v)
+
+
 # ---------------------------------------------------------------------------
 # target estimates
 
@@ -181,6 +322,16 @@ def test_degraded_at_infinity_equals_oracle(reverb_scene, cfg8k):
     oracle, = target_estimates([reverb_scene.direct[0]], cfg8k)
     inf, = target_estimates([reverb_scene.direct[0]], cfg8k, math.inf, [1])
     np.testing.assert_allclose(inf, oracle, atol=1e-12)
+
+
+def test_degrade_takes_numbers_and_plus_infinity_only(reverb_scene):
+    s = reverb_scene.s
+    copy = degrade(s, math.inf, seed=1)
+    assert copy is not s
+    np.testing.assert_array_equal(copy, s)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="error_snr_db"):
+            degrade(s, bad, seed=1)
 
 
 def test_degraded_estimate_hits_requested_snr(reverb_scene):
