@@ -239,7 +239,8 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
         noise: optional noise signal of the same length.
         snr_db: target ratio 10 log10(||s||^2 / ||noise||^2) between the
             first source's direct-path image and the scaled noise. Required
-            when noise is given.
+            when noise is given; ValueError if the noise gain it needs is
+            not a float64.
         normalize: scale every component by one factor so the mixture has
             unit sample variance.
 
@@ -278,7 +279,7 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
             raise ValueError("cannot set a finite SNR against a silent source")
         if e_n == 0.0:
             raise ValueError("noise signal is silent")
-        noise = noise * math.sqrt(e_s / (e_n * 10.0 ** (snr_db / 10.0)))
+        noise = noise * _noise_gain("snr_db", snr_db, e_s, e_n)
     else:
         noise = np.zeros(n)
 
@@ -311,7 +312,8 @@ def render_scene(dry, rirs, noise=None, snr_db=None, normalize=True):
 def degrade(signal, error_snr_db, seed):
     """Add seeded white noise at 10 log10(||s||^2 / ||e||^2) = error_snr_db.
 
-    +inf adds no noise (an oracle copy); NaN and -inf raise ValueError.
+    +inf adds no noise (an oracle copy); NaN, -inf and a finite SNR whose
+    noise gain is not a float64 raise ValueError.
     """
     s = np.asarray(signal, dtype=np.float64)
     _check_snr("error_snr_db", error_snr_db)
@@ -322,8 +324,25 @@ def degrade(signal, error_snr_db, seed):
         raise ValueError("cannot degrade a silent signal")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(s.size)
-    e *= math.sqrt(e_s / (float(np.sum(e ** 2)) * 10.0 ** (error_snr_db / 10.0)))
+    e *= _noise_gain("error_snr_db", error_snr_db, e_s, float(np.sum(e ** 2)))
     return s + e
+
+
+def _noise_gain(name, snr_db, e_s, e_n):
+    """The gain that puts noise of energy e_n at snr_db below energy e_s.
+
+    ValueError naming the setting when that gain is not a float64: the
+    power of ten overflows or underflows, or the gain comes out infinite, or
+    zero at a finite SNR.
+    """
+    try:
+        gain = math.sqrt(e_s / (e_n * 10.0 ** (snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        gain = math.nan
+    if not math.isfinite(gain) or (gain == 0.0 and snr_db != math.inf):
+        raise ValueError(f"{name} = {snr_db} dB gives a noise gain that is not "
+                         f"representable in float64")
+    return gain
 
 
 def _check_snr(name, snr_db):

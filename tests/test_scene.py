@@ -186,6 +186,21 @@ def test_snr_that_is_not_a_number_is_rejected():
     np.testing.assert_array_equal(scene.y, scene.s + scene.h)
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, 3080.0, -3200.0])
+def test_snr_whose_noise_gain_is_not_a_float_is_rejected(snr_db):
+    """Finite SNRs far outside the dB range raise ValueError naming the
+    setting: ±4000 dB, whose power of ten overflows or is 0, 3080 dB,
+    whose gain is 0 (no noise), and -3200 dB, whose gain is infinite."""
+    fs = 8000
+    dry = synth_speech(fs, fs, seed=1)
+    rir = gen_rir(RirSpec(fs, t60=0.3, direct_delay=24, seed=2))
+    noise = np.random.default_rng(3).standard_normal(fs)
+    with pytest.raises(ValueError, match="^snr_db"):
+        render_scene([dry], [rir], noise=noise, snr_db=snr_db)
+    with pytest.raises(ValueError, match="^error_snr_db"):
+        degrade(dry, snr_db, seed=4)
+
+
 # ---------------------------------------------------------------------------
 # numpy scene kernels, against references that share none of their arithmetic
 
