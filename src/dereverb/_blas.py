@@ -1,5 +1,5 @@
-"""Lookup of the OpenBLAS that numpy's wheel bundles: its thread count, for
-the CLI's thread pin and the solver's choice of worker count, and the
+"""Lookup of the OpenBLAS that numpy's wheel bundles: its thread count,
+which ``one_blas_thread`` pins for the CLI and the solver, and the
 kernels called on it through ``ctypes.CDLL``: the solver's per-bin complex
 Gram, Cholesky factor and solves, and the real blocked Cholesky factor and
 solve of the 512-tap SDR's normal equations. ``ctypes`` releases the GIL
@@ -11,9 +11,11 @@ of its methods first runs; the solver then runs on one worker. Importing
 this module loads no scipy module.
 """
 
+import contextlib
 import ctypes
 import functools
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,34 @@ def numpy_openblas():
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     return get_threads, set_threads
+
+
+# The pin's state is process-wide, as the thread count is.
+_pin_lock = threading.Lock()
+_pin_depth, _pin_saved = 0, None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS, if numpy has it, on one thread:
+    the first caller in saves the count and sets 1, and the last caller out
+    restores it, so blocks that nest or overlap in threads all run on one.
+    The solver's small per-bin GEMMs gain nothing from more threads, which
+    wait for descheduled workers under load and move the GEMMs' bits."""
+    global _pin_depth, _pin_saved
+    get_threads, set_threads = numpy_openblas() or (None, None)
+    with _pin_lock:
+        if set_threads and _pin_depth == 0:
+            _pin_saved = get_threads()
+            set_threads(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if set_threads and _pin_depth == 0:
+                set_threads(_pin_saved)
 
 
 class Kernels:

@@ -7,15 +7,13 @@ WAV (float32 by default, 16-bit PCM on request).
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numerical failure.
 
-``main`` runs each command with numpy's OpenBLAS on one thread and restores
-the previous thread count when the command returns. On its first call in a
+``main`` runs each command, metrics too, under the one-BLAS-thread pin
+every solve takes (``_blas.one_blas_thread``). On its first call in a
 process it also sets glibc's malloc thresholds, so that the memory one
-command frees stays in the heap for the next (``_keep_freed_heap``). The
-library modules set no thread or allocator policy.
+command frees stays in the heap for the next (``_keep_freed_heap``).
 """
 
 import argparse
-import contextlib
 import copy
 import csv
 import ctypes
@@ -31,8 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import convpred, metrics
-from ._blas import numpy_openblas as _numpy_openblas
+from . import _blas, convpred, metrics
 from .scene import (RirSpec, gen_rir, render_scene, strip_late, synth_speech,
                     target_estimates)
 from .stft import SUPPORTED_RATES, StftConfig, analyze, synthesize
@@ -846,9 +843,9 @@ def _write_csv(result, path):
 
 def cmd_experiment(config):
     sweep_path = _get(config, "sweep")
-    sweep = load_config(sweep_path) if sweep_path else {
-        k: v for k, v in config.items() if k not in _keys("experiment")}
-    result = run_experiment(sweep)
+    if not sweep_path:
+        raise ConfigError("experiment needs a sweep file: give it with --config")
+    result = run_experiment(load_config(sweep_path))
     _write_json(_get(config, "output"), result)
     if _get(config, "csv"):
         _write_csv(result, _get(config, "csv"))
@@ -902,31 +899,6 @@ def build_parser():
 # ---------------------------------------------------------------------------
 # entry point
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the
-    previous count.
-
-    The solver's Gram products are batches of small per-bin GEMMs that
-    OpenBLAS's worker threads do not speed up; next to a busy process each
-    of them waits for a descheduled worker. With one BLAS thread the solver
-    spreads its bins over the cores itself. No-op without numpy's OpenBLAS.
-    The count is process-wide, so calls that overlap in several threads
-    may restore each other's value.
-    """
-    blas = _numpy_openblas()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)
-
-
 # mallopt parameter numbers, from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -966,7 +938,7 @@ def _keep_freed_heap():
 def main(argv=None):
     _keep_freed_heap()
     args = build_parser().parse_args(argv)
-    with _one_blas_thread():
+    with _blas.one_blas_thread():
         try:
             config = _merge_config(args, args.command)
             result = _COMMANDS[args.command][1](config)

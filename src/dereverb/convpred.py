@@ -10,13 +10,13 @@ interface: numpy's OpenBLAS (``_blas.Kernels``), or numpy's matmul and
 scipy's LAPACK wrappers without it (``_blas.ScipyKernels``). A bin that
 does not factor gets lstsq's answer.
 Each block of bins is solved and its filters applied in one pass over the
-delayed stack, in tiles of frames. When numpy's OpenBLAS runs on one
-thread, ``solve_wls`` splits the bins into one contiguous range per core
-and runs each range on a thread pool that lives for that call only, in
-buffers and outputs allocated on the calling thread; every bin goes
-through the same calls on the same data as on one thread, so the results
-are bit-identical. There is no shared mutable state, so everything here is
-safe to call concurrently.
+delayed stack, in tiles of frames. ``solve_wls`` pins numpy's OpenBLAS to
+one thread (``_blas.one_blas_thread``, locked), splits the bins into one
+contiguous range per core and runs each range on a thread pool that lives
+for that call only, in buffers and outputs allocated on the calling
+thread; every bin goes through the same calls on the same data as on one
+worker, so the results are bit-identical whatever the caller's thread
+count. Everything here is safe to call concurrently.
 
 Conventions:
     The K-frame stack of a signal z is
@@ -183,11 +183,9 @@ _TILE = 512
 
 def _bin_workers(n_bins):
     """Threads to spread n_bins bins over: one per core the process may
-    run on, at most _BIN_BLOCK and n_bins, when numpy's OpenBLAS runs on one
-    thread; otherwise 1, because OpenBLAS's own threads would compete with
-    the pool's for the same cores."""
-    blas = _blas.numpy_openblas()
-    if blas is None or blas[0]() != 1:
+    run on, at most _BIN_BLOCK and n_bins; 1 without numpy's OpenBLAS,
+    whose thread count cannot be pinned (ScipyKernels holds the GIL)."""
+    if _blas.numpy_openblas() is None:
         return 1
     return min(len(os.sched_getaffinity(0)), _BIN_BLOCK, n_bins)
 
@@ -334,10 +332,10 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
     and _BIN_BLOCK tile rows each of the padded stack source and the
     weights, shared out among the workers, and the (F, K) filters and
     (T, F) prediction. The kernels run on numpy's OpenBLAS through ctypes,
-    without the GIL; without it, the same calls run on numpy's matmul and
-    scipy's LAPACK wrappers. When numpy's OpenBLAS runs on one thread the
-    bins are split into one contiguous range per core, each solved on its
-    own thread.
+    without the GIL, pinned to one thread while the call runs, and the bins
+    are split into one contiguous range per core, each solved on its own
+    thread. Without it, the same calls run on numpy's matmul and scipy's
+    LAPACK wrappers, on one worker.
 
     Args:
         stack_src: T x F signal the prediction stack is built from.
@@ -390,7 +388,7 @@ def solve_wls(stack_src, target, taps, delay, weights, diag_load=1e-6):
             return _solve_range(z, d, w, lo, hi, taps, delay, diag_load,
                                 filters, pred, work)
 
-        with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        with _blas.one_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
             rest = [pool.submit(run, *job) for job in jobs[1:]]
             n_failed = run(*jobs[0]) + sum(future.result() for future in rest)
         if n_failed:

@@ -21,8 +21,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
-from dereverb import (StftConfig, analyze, cli, convpred, degrade, metrics,
-                      read_wav, scene, si_sdr, synthesize, write_wav)
+from dereverb import (StftConfig, _blas, analyze, cli, convpred, degrade,
+                      metrics, read_wav, scene, si_sdr, synthesize, write_wav)
 from dereverb.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           cmd_dereverb, cmd_evaluate, cmd_simulate, main,
                           run_experiment)
@@ -403,7 +403,7 @@ def test_fcp_form_divergence_is_numerical_failure(scene_dir, monkeypatch, capsys
 
 
 def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
-    blas = cli._numpy_openblas()
+    blas = _blas.numpy_openblas()
     if blas is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     get_threads, set_threads = blas
@@ -433,7 +433,7 @@ def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
 
 
 def test_main_spreads_solver_bins_over_cores(scene_dir, monkeypatch):
-    if cli._numpy_openblas() is None:
+    if _blas.numpy_openblas() is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("the process may run on one core only")
@@ -1152,6 +1152,14 @@ def test_experiment_csv_and_json(tmp_path, capsys):
     assert len(result["rows"]) == 1
     lines = (tmp_path / "result.csv").read_text().splitlines()
     assert lines[0].startswith("seed,") and len(lines) == 2
+
+
+def test_experiment_without_sweep_file_is_config_error(tmp_path, capsys):
+    rc = main(["experiment", "--output", str(tmp_path / "result.json")])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith("config error:") and "--config" in err
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_csv_lists_every_algorithm_entry_setting(tmp_path):

@@ -1,6 +1,7 @@
 import inspect
 import logging
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dereverb import _blas, cli, convpred
-from dereverb import (PredConfig, analyze, fcp, icp, iterate, lambda_weights,
-                      si_sdr, solve_wls, synthesize, target_estimates,
-                      wpe_supplied, wpe_vanilla)
+from dereverb import (PredConfig, RirSpec, analyze, fcp, gen_rir, icp, iterate,
+                      lambda_weights, render_scene, si_sdr, solve_wls,
+                      synth_speech, synthesize, target_estimates, wpe_supplied,
+                      wpe_vanilla)
 from dereverb.convpred import _BIN_BLOCK, _TILE, _floored_power
 
 
@@ -464,23 +466,158 @@ def test_algorithms_bit_identical_on_any_worker_count(monkeypatch, reverb_scene,
             np.testing.assert_array_equal(many[1].filters, one[1].filters)
 
 
-def test_workers_only_with_one_blas_thread(monkeypatch):
+@pytest.fixture
+def blas_threads():
+    """The thread-count getter and setter of numpy's OpenBLAS; the count is
+    back at its value before the test when the test ends."""
     blas = _blas.numpy_openblas()
     if blas is None:
         pytest.skip("numpy does not use its bundled OpenBLAS")
     get_threads, set_threads = blas
-    cores = len(os.sched_getaffinity(0))
     original = get_threads()
+    yield blas
+    set_threads(original)
+
+
+def test_worker_count_does_not_depend_on_blas_threads(monkeypatch, blas_threads):
+    _, set_threads = blas_threads
+    counts = []
+    for threads in (1, 2):
+        set_threads(threads)
+        counts.append((convpred._bin_workers(257), convpred._bin_workers(1)))
+    assert counts == [(min(len(os.sched_getaffinity(0)), _BIN_BLOCK), 1)] * 2
+    monkeypatch.setattr(_blas, "numpy_openblas", lambda: None)
+    assert convpred._bin_workers(257) == 1
+
+
+def test_solve_runs_on_one_blas_thread_and_restores(monkeypatch, blas_threads):
+    """With the caller's count at 2, every bin worker sees one thread, and
+    the count is 2 again after a normal return and after a worker fails."""
+    get_threads, set_threads = blas_threads
+
+    class Boom(Exception):
+        pass
+
+    solve_range = convpred._solve_range
+    caller = threading.get_ident()
+    seen = []
+
+    def spy(*args):
+        seen.append((threading.get_ident(), get_threads()))
+        return solve_range(*args)
+
+    def failing_off_caller(*args):
+        if threading.get_ident() != caller:
+            raise Boom("worker failed")
+        return solve_range(*args)
+
+    z, d, taps, delay, lam = ranged_instance(2 * _BIN_BLOCK + 3, 0)
+    set_threads(2)
+    monkeypatch.setattr(convpred, "_solve_range", spy)
+    run_on_workers(monkeypatch, 3, solve_wls, z, d, taps, delay, lam)
+    after_ok = get_threads()
+    monkeypatch.setattr(convpred, "_solve_range", failing_off_caller)
+    with pytest.raises(Boom):
+        run_on_workers(monkeypatch, 2, solve_wls, z, d, taps, delay, lam)
+    assert len(seen) == 3 and len({ident for ident, _ in seen}) >= 2
+    assert {threads for _, threads in seen} == {1}
+    assert (after_ok, get_threads()) == (2, 2)
+
+
+def test_overlapping_solves_keep_one_blas_thread_until_the_last_returns(
+        monkeypatch, blas_threads):
+    """Thread A enters solve_wls, thread B enters, and A returns while B is
+    still inside: B still runs on one thread, and the caller's count is back
+    once both have returned."""
+    get_threads, set_threads = blas_threads
+    a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+    seen, failures = {}, []
+    solve_range = convpred._solve_range
+
+    def spy(*args):
+        name = threading.current_thread().name
+        if name == "A":
+            a_inside.set()
+            if not b_inside.wait(30):
+                raise TimeoutError("B never entered")
+        else:
+            b_inside.set()
+            if not a_done.wait(30):
+                raise TimeoutError("A never returned")
+        seen[name] = get_threads()
+        return solve_range(*args)
+
+    problem = ranged_instance(5, 0)
+
+    def caller(done):
+        try:
+            solve_wls(*problem)
+        except Exception as exc:        # reported by the assertions below
+            failures.append(exc)
+        finally:
+            done.set()
+
+    set_threads(2)
+    monkeypatch.setattr(convpred, "_bin_workers", lambda n_bins: 1)
+    monkeypatch.setattr(convpred, "_solve_range", spy)
+    a = threading.Thread(target=caller, args=(a_done,), name="A")
+    b = threading.Thread(target=caller, args=(threading.Event(),), name="B")
+    a.start()
+    assert a_inside.wait(30)
+    b.start()
+    for t in (a, b):
+        t.join(30)
+        assert not t.is_alive()
+    assert failures == []
+    assert seen == {"A": 1, "B": 1}
+    assert get_threads() == 2
+
+
+def test_pin_holds_under_many_overlapping_callers(blas_threads):
+    """Eight threads enter and leave the pin 200 times each, switching as
+    often as the interpreter allows: each sees one thread inside, and the
+    caller's count is back once all have left."""
+    get_threads, set_threads = blas_threads
+    inside = []
+
+    def enter_and_leave():
+        for _ in range(200):
+            with _blas.one_blas_thread():
+                inside.append(get_threads())
+
+    set_threads(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        set_threads(2)
-        assert convpred._bin_workers(257) == 1
-        set_threads(1)
-        assert convpred._bin_workers(257) == min(cores, _BIN_BLOCK)
-        assert convpred._bin_workers(1) == 1
-        monkeypatch.setattr(_blas, "numpy_openblas", lambda: None)
-        assert convpred._bin_workers(257) == 1
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
     finally:
-        set_threads(original)
+        sys.setswitchinterval(interval)
+    assert len(inside) == 1600 and set(inside) == {1}
+    assert get_threads() == 2
+
+
+def test_library_bits_do_not_depend_on_blas_threads(blas_threads, cfg16k):
+    """fcp, icp and wpe_vanilla on a 4 s, 16 kHz scene give the same bits at
+    the caller's counts 1 and 2 (solve_wls pins one thread either way)."""
+    _, set_threads = blas_threads
+    fs = 16000
+    scene = render_scene([synth_speech(4 * fs, fs, seed=41)],
+                         [gen_rir(RirSpec(fs, t60=0.6, direct_delay=48, seed=42))],
+                         normalize=True)
+    y = analyze(scene.y, cfg16k).data
+    s = analyze(scene.direct[0], cfg16k).data
+    runs = []
+    for threads in (1, 2):
+        set_threads(threads)
+        runs.append([fcp(y, s)[0], icp(y, s)[0],
+                     wpe_vanilla(y, PredConfig.for_wpe())[0]])
+    for one, two in zip(*runs):
+        np.testing.assert_array_equal(two, one)
 
 
 def test_worker_exception_surfaces_and_pool_is_released(monkeypatch):
