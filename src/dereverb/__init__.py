@@ -15,8 +15,8 @@ logging.
 
 import logging
 
-from .convpred import (FilterBank, PredConfig, fcp, icp, iterate,
-                       lambda_weights, solve_wls, wpe_supplied, wpe_vanilla)
+from .convpred import (FilterBank, PredConfig, fcp, icp, lambda_weights,
+                       solve_wls, wpe_supplied, wpe_vanilla)
 from .metrics import (MetricsReport, evaluate_pair, gcc_phat_delay, sdr_512,
                       si_sdr)
 from .scene import (Rir, RirSpec, Scene, degrade, gen_rir, render_scene,
@@ -31,8 +31,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __all__ = [
     "ComplexSpectrogram", "FilterBank", "MetricsReport", "PredConfig", "Rir",
     "RirSpec", "Scene", "StftConfig", "analyze", "degrade", "evaluate_pair",
-    "fcp", "gcc_phat_delay", "gen_rir", "icp", "iterate", "lambda_weights",
-    "read_wav", "render_scene", "sdr_512", "si_sdr", "solve_wls", "split_rir",
-    "sqrt_hann", "strip_late", "synth_speech", "synthesize",
-    "target_estimates", "wpe_supplied", "wpe_vanilla", "write_wav",
+    "fcp", "gcc_phat_delay", "gen_rir", "icp", "lambda_weights", "read_wav",
+    "render_scene", "sdr_512", "si_sdr", "solve_wls", "split_rir", "sqrt_hann",
+    "strip_late", "synth_speech", "synthesize", "target_estimates",
+    "wpe_supplied", "wpe_vanilla", "write_wav",
 ]

@@ -305,6 +305,9 @@ def _build_scene(config):
         raise ConfigError(f"n_sources must be <= {most} for a {duration} s scene")
     snr_db = _get(config, "snr_db")
     early_only = _get(config, "early_only")
+    if early_only and snr_db is not None:
+        raise ConfigError("snr_db must be null with early_only: an "
+                          "early-reflections-only scene has no noise")
 
     rng = np.random.default_rng(seed)
     dry = [synth_speech(n, fs, seed=int(rng.integers(2 ** 31))) for _ in range(n_sources)]
@@ -324,11 +327,7 @@ def _build_scene(config):
             rir = strip_late(rir)
         rirs.append(rir)
 
-    noise = None
-    if snr_db is not None and not early_only:
-        noise = rng.standard_normal(n)
-    elif snr_db is not None and early_only:
-        snr_db = None  # early-reflections-only scenario drops the noise too
+    noise = rng.standard_normal(n) if snr_db is not None else None
     return render_scene(dry, rirs, noise=noise, snr_db=snr_db,
                         normalize=_get(config, "normalize"))
 
@@ -478,12 +477,12 @@ def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
     if algo.per_source:
         family = ALGORITHMS[algo.per_source]
         return [family.run(mix_spec.data, [est], pred)[0] for est in ests]
-    if passes == 1:
-        return algo.run(mix_spec.data, ests, pred)
-    return [convpred.iterate(
-        mix_spec.data, ests[0], lambda y, est: algo.run(y, [est], pred)[0], passes,
-        lambda out: analyze(synthesize(mix_spec.with_data(out), n_samples),
-                            mix_spec.config).data)]
+    outputs = algo.run(mix_spec.data, ests, pred)
+    for _ in range(passes - 1):
+        est = analyze(synthesize(mix_spec.with_data(outputs[0]), n_samples),
+                      mix_spec.config).data
+        outputs = algo.run(mix_spec.data, [est], pred)
+    return outputs
 
 
 def _enhanced(mix_tf, outputs_tf, n_samples):
@@ -537,11 +536,16 @@ def _max_lag(config, n_samples):
     return max_lag
 
 
+def _dump_json(obj, fh):
+    """The one JSON format of every report, manifest and stdout dump."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _write_json(path, obj):
     if path:  # else the setting that names the file is unset
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            _dump_json(obj, fh)
 
 
 def cmd_dereverb(config):
@@ -943,8 +947,7 @@ def main(argv=None):
             config = _merge_config(args, args.command)
             result = _COMMANDS[args.command][1](config)
             if not (args.command == "experiment" and config.get("output")):
-                json.dump(result, sys.stdout, indent=2, sort_keys=True)
-                sys.stdout.write("\n")
+                _dump_json(result, sys.stdout)
             return EXIT_OK
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)

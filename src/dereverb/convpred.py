@@ -427,8 +427,7 @@ def wpe_vanilla(mixture, cfg):
         (iters, 2)).
     """
     y = _as_tf(mixture)
-    with np.errstate(over="ignore"):            # _floored_power raises instead
-        lam = _floored_power(np.abs(y) ** 2, cfg.eps)
+    lam = lambda_weights(y, "mix_power", cfg.eps)
     shat = y  # the residual of the previous filter; no filter at first
     filters = None
     trace = np.zeros((cfg.iters, 2))
@@ -436,7 +435,7 @@ def wpe_vanilla(mixture, cfg):
         trace[i, 0] = np.sum(np.abs(shat) ** 2 / lam)
         shat, filters = wpe_supplied(y, lam, cfg.taps, cfg.delay, cfg.diag_load)
         trace[i, 1] = np.sum(np.abs(shat) ** 2 / lam)
-        lam = _floored_power(np.abs(shat) ** 2, cfg.eps)
+        lam = lambda_weights(shat, "mix_power", cfg.eps)
     return shat, filters, trace
 
 
@@ -547,33 +546,3 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
         shat[:, dead] = y[:, dead]
         xhat[:, dead] = 0.0
     return shat, FilterBank(coeffs, 0), xhat
-
-
-def iterate(mixture, initial_est, step, passes, feedback=None):
-    """Re-run a prediction step, feeding each output back as the estimate.
-
-    Args:
-        mixture: T x F mixture spectrogram.
-        initial_est: starting target estimate.
-        step: callable (mixture, est) -> output, or a tuple whose first
-            element is the output (so ``fcp``/``icp`` can be passed
-            directly).
-        passes: number of passes, >= 1.
-        feedback: callable output -> next estimate, applied between passes
-            and never after the last one; None feeds the output back as it
-            is.
-
-    Returns:
-        final T x F output.
-    """
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    y = _as_tf(mixture)
-    est = _as_tf(initial_est)
-    for i in range(passes):
-        out = step(y, est)
-        if isinstance(out, tuple):
-            out = out[0]
-        if i < passes - 1:
-            est = out if feedback is None else feedback(out)
-    return out

@@ -5,15 +5,15 @@ capped at +/-300 (the infinity sentinel) so reports stay serializable.
 
 The correlations behind the 512-tap SDR and GCC-PHAT come from one spectrum
 pair of length ``est.size + ref.size``: the reference spectrum R and the
-cross spectrum E conj(R). That length is at least 2N - 1, so the circular
-correlations they give are the linear ones. ``evaluate_pair`` builds the
-pair once and scores all three metrics from it: 2 forward and 3 inverse
-FFTs. The 512-tap SDR solves its Toeplitz normal equations by a blocked
-Cholesky factor on numpy's OpenBLAS (``_blas.Kernels.spd_cholesky``), whose
-bits do not depend on the OpenBLAS thread count. A ``Reference`` keeps R
-and that factor for the pairs that share a reference, so each further pair
-takes 3 FFTs and one pair of triangular solves. Importing this module
-loads no scipy module.
+cross spectrum E conj(R), each signal transformed by its own one-row rfft.
+That length is at least 2N - 1, so the circular correlations they give are
+the linear ones. ``evaluate_pair`` builds the pair once and scores all three
+metrics from it: 2 forward and 3 inverse FFTs. The 512-tap SDR solves its
+Toeplitz normal equations by a blocked Cholesky factor on numpy's OpenBLAS
+(``_blas.Kernels.spd_cholesky``), whose bits do not depend on the OpenBLAS
+thread count. A ``Reference`` keeps R and that factor for the pairs that
+share a reference, so each further pair takes 3 FFTs and one pair of
+triangular solves. Importing this module loads no scipy module.
 """
 
 import logging
@@ -73,13 +73,19 @@ def si_sdr(est, ref):
 def _spectra(est, ref):
     """(n, R, X) of a validated pair: n = est.size + ref.size, R the
     reference spectrum and X = E conj(R) the cross spectrum, both zero-padded
-    to n, from one rfft call on both signals. irfft(|R|^2)[k] and irfft(X)[k]
-    are the linear correlations sum_t ref(t) ref(t - k) and
-    sum_t est(t) ref(t - k) for 0 <= k < N."""
+    to n, from one rfft of each signal. irfft(|R|^2)[k] and irfft(X)[k] are
+    the linear correlations sum_t ref(t) ref(t - k) and sum_t est(t) ref(t - k)
+    for 0 <= k < N."""
     n = est.size + ref.size
-    spec_ref, cross = np.fft.rfft(np.stack([ref, est]), n=n)
+    spec_ref = np.fft.rfft(ref, n=n)
+    return n, spec_ref, _cross(est, n, spec_ref)
+
+
+def _cross(est, n, spec_ref):
+    """The cross spectrum E conj(R) of ``est`` zero-padded to n."""
+    cross = np.fft.rfft(est, n=n)
     cross *= np.conj(spec_ref)
-    return n, spec_ref, cross
+    return cross
 
 
 def _autocorrelation(n, spec_ref, n_taps):
@@ -237,14 +243,13 @@ class Reference:
         si = si_sdr(est, self.ref)
         est, ref = _check_pair(est, self.ref, min_len=SDR_TAPS)
         if self._spectrum is None:
-            n, spec_ref, cross = _spectra(est, ref)
+            n = est.size + ref.size
+            spec_ref = np.fft.rfft(ref, n=n)
             normal = _NormalEquations(_autocorrelation(n, spec_ref, SDR_TAPS),
                                       _SDR_LOAD)
             self._spectrum = n, spec_ref, normal
-        else:
-            n, spec_ref, normal = self._spectrum
-            cross = np.fft.rfft(est, n=n)
-            cross *= np.conj(spec_ref)
+        n, spec_ref, normal = self._spectrum
+        cross = _cross(est, n, spec_ref)
         sdr = _sdr_from_spectra(est, n, cross, normal)
         _check_gcc(est, ref, max_lag)
         return MetricsReport(si_sdr=si, sdr_512=sdr,

@@ -72,6 +72,18 @@ def test_simulate_two_sources_writes_components(tmp_path):
     np.testing.assert_allclose(y, np.sum(parts, axis=0), atol=1e-6)
 
 
+def test_simulate_early_only_with_snr_db_is_config_error(tmp_path, capsys):
+    """An early-reflections-only scene has no noise, so an SNR for one is
+    rejected before anything is written, not echoed and then ignored."""
+    out = tmp_path / "early"
+    rc = main(["simulate", "--out-dir", str(out), "--sample-rate", "8000",
+               "--duration-s", "1", "--seed", "0", "--t60", "0.3",
+               "--snr-db", "20", "--early-only"])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: snr_db must be null")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # dereverb
 
@@ -1206,6 +1218,15 @@ def test_early_only_ordering_mini_sweep():
     fcp_mean = means[("fcp", None)]
     for d in (1, 2, 3, 4):
         assert fcp_mean > means[("wpe_supplied", d)]
+
+
+def test_early_only_sweep_fails_only_the_rows_with_an_snr():
+    rows = run_experiment(small_sweep(seeds=[0], early_only=True,
+                                      snr_db=[None, 20.0]))["rows"]
+    assert [r["snr_db"] for r in rows] == [None, 20.0]
+    assert rows[0]["error"] is None and rows[0]["metrics"]
+    assert rows[1]["error"].startswith("snr_db must be null with early_only")
+    assert rows[1]["metrics"] is None
 
 
 def test_main_bad_config_file_exit(tmp_path, capsys):

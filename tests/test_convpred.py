@@ -7,11 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dereverb import _blas, cli, convpred
-from dereverb import (PredConfig, RirSpec, analyze, fcp, gen_rir, icp, iterate,
+from dereverb import (PredConfig, RirSpec, analyze, fcp, gen_rir, icp,
                       lambda_weights, render_scene, si_sdr, solve_wls,
                       synth_speech, synthesize, target_estimates, wpe_supplied,
                       wpe_vanilla)
@@ -1009,6 +1009,52 @@ def test_fcp_scale_equivariance():
     assert np.abs(s2 - alpha * s1).max() < 1e-9 * np.abs(alpha * s1).max()
 
 
+@pytest.fixture(scope="module")
+def duo_tf(two_speaker_scene, cfg8k):
+    """The two-speaker scene's mixture STFT, its oracle estimates and its
+    length, and each ALGORITHMS entry's outputs on them, keyed by (name,
+    passes): one pass, and two for a multi-pass entry."""
+    sc = two_speaker_scene
+    mix, ests = analyze(sc.y, cfg8k), target_estimates(sc.direct, cfg8k)
+    outputs = {(name, passes): cli.run_algorithm(name, algo.defaults(), mix, ests,
+                                                 passes, sc.n_samples)
+               for name, algo in cli.ALGORITHMS.items()
+               for passes in ((1, 2) if algo.multi_pass else (1,))}
+    return mix, ests, sc.n_samples, outputs
+
+
+def _assert_scales_exactly(duo_tf, name, passes, k):
+    """Entry ``name`` on the mixture and the estimates times 2^k gives its
+    outputs times 2^k, bit for bit."""
+    mix, ests, n_samples, outputs = duo_tf
+    scale = 2.0 ** k
+    scaled = cli.run_algorithm(name, cli.ALGORITHMS[name].defaults(),
+                               mix.with_data(mix.data * scale),
+                               [est * scale for est in ests], passes, n_samples)
+    assert len(scaled) == len(outputs[name, passes])
+    for out, expected in zip(scaled, outputs[name, passes]):
+        np.testing.assert_array_equal(out / scale, expected)
+
+
+@pytest.mark.parametrize("name", list(cli.ALGORITHMS))
+@settings(max_examples=6, deadline=None)
+@given(k=st.integers(-500, 500))
+@example(k=-500)
+@example(k=500)
+def test_every_algorithm_is_exactly_scale_equivariant(duo_tf, name, k):
+    _assert_scales_exactly(duo_tf, name, 1, k)
+
+
+@pytest.mark.parametrize("name", [n for n, a in cli.ALGORITHMS.items()
+                                  if a.multi_pass])
+@settings(max_examples=3, deadline=None)
+@given(k=st.integers(-300, 300))
+@example(k=-300)
+@example(k=300)
+def test_two_passes_are_exactly_scale_equivariant(duo_tf, name, k):
+    _assert_scales_exactly(duo_tf, name, 2, k)
+
+
 # ---------------------------------------------------------------------------
 # per-source FCP and multi-source WPE (the CLI's fcp_per_source, wpe_sf and
 # wpe_mf)
@@ -1123,32 +1169,6 @@ def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
 # ---------------------------------------------------------------------------
 # iteration
 
-def test_iterate_single_pass_equals_direct_call(reverb_scene, cfg8k):
-    y = analyze(reverb_scene.y, cfg8k).data
-    est, = target_estimates([reverb_scene.direct[0]], cfg8k, 10.0, [3])
-    np.testing.assert_array_equal(iterate(y, est, fcp, 1), fcp(y, est)[0])
-
-
-def test_iterate_feeds_back_between_passes_only():
-    """The feedback maps each output but the last to the next estimate."""
-    rng = np.random.default_rng(16)
-    y = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-    seen, fed = [], []
-    out = iterate(y, y, lambda mix, est: seen.append(est) or est + 1, passes=3,
-                  feedback=lambda o: fed.append(o) or 2 * o)
-    assert len(seen) == 3 and len(fed) == 2
-    np.testing.assert_array_equal(seen[1], 2 * (y + 1))
-    np.testing.assert_array_equal(out, 2 * (2 * (y + 1) + 1) + 1)
-
-
-def test_iterate_fixed_point():
-    rng = np.random.default_rng(14)
-    y = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-    est = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
-    out = iterate(y, est, lambda mix, e: e, passes=4)
-    np.testing.assert_allclose(out, est, rtol=1e-10)
-
-
 def test_iterate_planted_residual_stays_at_solver_floor():
     """On an exactly explainable mixture, re-filtering keeps the unexplained
     residual at the solver floor instead of accumulating error."""
@@ -1161,9 +1181,3 @@ def test_iterate_planted_residual_stays_at_solver_floor():
         current = shat
     assert residuals[0] < 1e-4
     assert residuals[1] <= max(residuals[0] * 1.05, 1e-4)
-
-
-def test_iterate_validates_passes():
-    y = np.ones((8, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        iterate(y, y, fcp, 0)

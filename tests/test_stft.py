@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dereverb import ComplexSpectrogram, StftConfig, analyze, synthesize
 
@@ -82,6 +84,20 @@ def test_roundtrip(fs, length):
     x = np.random.default_rng(fs + length).standard_normal(length)
     y = synthesize(analyze(x, cfg), length)
     assert np.linalg.norm(x - y) / np.linalg.norm(x) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8000, 16000]), st.integers(1, 3 * 16000),
+       st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+@example(8000, 1, -500, 0)
+@example(16000, 3 * 16000, 500, 1)
+def test_roundtrip_exact_to_float_precision(fs, length, k, seed):
+    """synthesize(analyze(x), n) is x to 1e-12 norm-relative, at any length
+    and at any amplitude 2^k; the norms are taken at unit scale, where
+    they neither overflow nor underflow."""
+    x = np.random.default_rng(seed).standard_normal(length)
+    y = synthesize(analyze(np.ldexp(x, k), StftConfig.for_rate(fs)), length)
+    assert np.linalg.norm(np.ldexp(y, -k) - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_roundtrip_at_window_length(cfg8k):
