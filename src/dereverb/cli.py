@@ -51,9 +51,10 @@ class Algorithm(NamedTuple):
     defaults: Callable     # PredConfig.for_*: the only source of default values
     settings: tuple        # PredConfig fields applied; any other explicit one is
                            # rejected, never echoed and then ignored
-    reads_estimate: bool   # False: the target estimates are never read
-    multi_pass: bool       # passes > 1 allowed (one estimate in, one out)
-    run: Callable = None   # (mix_tf, ests, pred) -> list of T x F outputs
+    reads: float           # the target estimates read: 0, 1 (then passes > 1
+                           # is allowed: one estimate in, one out), or
+                           # math.inf (every estimate)
+    run: Callable = None   # (mix_tf, ests, pred) -> the T x F output
     per_source: str = None  # instead of run: the single-estimate algorithm
                             # run on each [ests[c]] for output c
 
@@ -61,34 +62,34 @@ class Algorithm(NamedTuple):
 def _wpe_weighted_by_estimates(y, ests, p):
     """One WPE filter weighted by the floored summed power of the estimates."""
     weights = convpred.lambda_weights(ests, "est_power", p.eps)
-    return [convpred.wpe_supplied(y, weights, p.taps, p.delay, p.diag_load)[0]]
+    return convpred.wpe_supplied(y, weights, p.taps, p.delay, p.diag_load)[0]
 
 
 # Entries call convpred through the module attribute at call time, so a
 # function patched on the module is the one that runs.
 ALGORITHMS = {
     "wpe_vanilla": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE + ("iters",), False, False,
-        lambda y, ests, p: [convpred.wpe_vanilla(y, p)[0]]),
+        convpred.PredConfig.for_wpe, _WPE + ("iters",), 0,
+        lambda y, ests, p: convpred.wpe_vanilla(y, p)[0]),
     "wpe_supplied": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, True, _wpe_weighted_by_estimates),
+        convpred.PredConfig.for_wpe, _WPE, 1, _wpe_weighted_by_estimates),
     "icp": Algorithm(
-        convpred.PredConfig.for_icp, _CP, True, True,
-        lambda y, ests, p: [convpred.icp(y, ests[0], p.taps, eps=p.eps,
-                                         diag_load=p.diag_load)[0]]),
+        convpred.PredConfig.for_icp, _CP, 1,
+        lambda y, ests, p: convpred.icp(y, ests[0], p.taps, eps=p.eps,
+                                        diag_load=p.diag_load)[0]),
     # plain fcp takes no lambda_mode, so it weights by the mixture's power
     "fcp": Algorithm(
-        convpred.PredConfig.for_fcp, _CP, True, True,
-        lambda y, ests, p: [convpred.fcp(y, ests[0], p.taps, convpred.lambda_weights(
+        convpred.PredConfig.for_fcp, _CP, 1,
+        lambda y, ests, p: convpred.fcp(y, ests[0], p.taps, convpred.lambda_weights(
             ests[0] if p.lambda_mode == "est_power" else y, p.lambda_mode, p.eps),
-            diag_load=p.diag_load)[0]]),
+            diag_load=p.diag_load)[0]),
     "fcp_per_source": Algorithm(
         convpred.PredConfig.for_fcp, ("taps", "eps", "lambda_mode", "diag_load"),
-        True, False, per_source="fcp"),
+        math.inf, per_source="fcp"),
     "wpe_sf": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, False, _wpe_weighted_by_estimates),
+        convpred.PredConfig.for_wpe, _WPE, math.inf, _wpe_weighted_by_estimates),
     "wpe_mf": Algorithm(
-        convpred.PredConfig.for_wpe, _WPE, True, False, per_source="wpe_supplied"),
+        convpred.PredConfig.for_wpe, _WPE, math.inf, per_source="wpe_supplied"),
 }
 _PRED_FIELDS = dataclasses.fields(convpred.PredConfig)
 
@@ -228,7 +229,7 @@ def _prediction(name, given):
     if ignored:
         raise ConfigError(f"algorithm {name!r} does not use {', '.join(ignored)} "
                           f"(it uses {', '.join(algo.settings)})")
-    typed = {k: _get(given, k) for k in given if given[k] is not None}
+    typed = {k: _get(given, k) for k in given}
     try:
         pred = algo.defaults(**typed)
     except ValueError as exc:
@@ -396,11 +397,8 @@ def _load_signals(paths, expected_fs=None, expected_len=None, what="signal"):
 
 
 def _estimates_read(algo, n_available):
-    """How many of ``n_available`` estimates ``algo`` reads: none, the first
-    only (a multi-pass algorithm takes one estimate in), or all."""
-    if not algo.reads_estimate:
-        return 0
-    return 1 if algo.multi_pass else n_available
+    """How many of ``n_available`` estimates ``algo`` reads."""
+    return min(algo.reads, n_available)
 
 
 # The estimate settings that each estimate mode applies. An algorithm that
@@ -414,7 +412,7 @@ def _check_estimate_settings(config, name):
     """Reject each explicit estimate setting that algorithm ``name`` does not
     apply with the configured estimate mode."""
     mode = _get(config, "estimate_mode")
-    reads = ALGORITHMS[name].reads_estimate
+    reads = ALGORITHMS[name].reads
     applied = _ESTIMATE_SETTINGS[mode] if reads else ()
     unused = [k for k in ("estimate_mode", "estimate", "estimate_error_snr_db", "seed")
               if config.get(k) is not None and k not in applied]
@@ -438,7 +436,7 @@ def _build_estimates(config, name, refs, cfg, n_samples):
     else:
         signals = refs
     signals = signals[:_estimates_read(ALGORITHMS[name], len(signals))]
-    if ALGORITHMS[name].reads_estimate and not signals:
+    if ALGORITHMS[name].reads and not signals:
         raise ConfigError(
             f"algorithm {name!r} needs --reference signals (or external estimates)")
     seed = _get(config, "seed")
@@ -446,49 +444,44 @@ def _build_estimates(config, name, refs, cfg, n_samples):
                             [seed + i for i in range(len(signals))])
 
 
-def run_algorithm(name, pred, mix_spec, ests, passes=1, n_samples=None):
+def run_algorithm(name, pred, mix_spec, ests, n_samples, passes=1):
     """Run one algorithm on the estimates it reads (the first only for a
-    multi-pass one). A per-source algorithm runs its family once on each
-    estimate. Passes after the first take the previous output, through a
-    time-domain round trip, as their estimate (so multi-pass runs compose
-    exactly like re-running the tool on its own output).
+    multi-pass one) and synthesize its outputs. A per-source algorithm runs
+    its family once on each estimate. Passes after the first take the
+    previous output, through a time-domain round trip, as their estimate
+    (so multi-pass runs compose exactly like re-running the tool on its own
+    output).
 
     Args:
         mix_spec: mixture ComplexSpectrogram.
         ests: list of T x F estimate arrays (empty for vanilla WPE).
-        n_samples: mixture length, required for passes > 1.
+        n_samples: mixture length, the length of every output.
 
     Returns:
-        list of T x F output arrays.
+        list of output signals.
     """
     algo = _algorithm(name)
     passes = _get({"passes": passes}, "passes")
-    if passes > 1 and not algo.multi_pass:
+    if passes > 1 and algo.reads != 1:
         raise ConfigError(f"passes > 1 applies to single-estimate algorithms, "
                           f"not {name!r}")
-    if passes > 1 and n_samples is None:
-        raise ConfigError("passes > 1 needs the mixture sample count")
-    if algo.reads_estimate and not ests:
+    if algo.reads and not ests:
         raise ConfigError(f"algorithm {name!r} needs a target estimate")
     frames = mix_spec.data.shape[0]  # a later tap never sees a frame
     if pred.taps + pred.delay > frames:
         raise ConfigError(f"taps + delay must be <= {frames}, the frame count")
     ests = ests[:_estimates_read(algo, len(ests))]
     if algo.per_source:
-        family = ALGORITHMS[algo.per_source]
-        return [family.run(mix_spec.data, [est], pred)[0] for est in ests]
-    outputs = algo.run(mix_spec.data, ests, pred)
+        run = ALGORITHMS[algo.per_source].run
+        outputs = [run(mix_spec.data, [est], pred) for est in ests]
+    else:
+        outputs = [algo.run(mix_spec.data, ests, pred)]
     for _ in range(passes - 1):
         est = analyze(synthesize(mix_spec.with_data(outputs[0]), n_samples),
                       mix_spec.config).data
-        outputs = algo.run(mix_spec.data, [est], pred)
-    return outputs
-
-
-def _enhanced(mix_tf, outputs_tf, n_samples):
-    """Time-domain signals of the algorithm's T x F outputs."""
-    return [synthesize(mix_tf.with_data(_check_finite(out, "enhanced spectrogram")),
-                       n_samples) for out in outputs_tf]
+        outputs = [algo.run(mix_spec.data, [est], pred)]
+    return [synthesize(mix_spec.with_data(_check_finite(out, "enhanced spectrogram")),
+                       n_samples) for out in outputs]
 
 
 def _n_outputs(algo, ests):
@@ -563,6 +556,9 @@ def cmd_dereverb(config):
     if config.get("max_lag") is not None and not ref_paths:
         raise ConfigError("max_lag sets the lag range of the metrics, which "
                           "need --reference signals")
+    if config.get("encoding") is not None and not _get(config, "output"):
+        raise ConfigError("encoding sets the sample format of the output WAVs, "
+                          "which need --output")
 
     mixture, fs = _load_signals([mixture_path], what="mixture")
     mixture = mixture[0]
@@ -582,8 +578,7 @@ def cmd_dereverb(config):
                           f"scores each against its own reference; got "
                           f"{len(refs)} reference(s)")
 
-    outputs = _enhanced(mix_tf, run_algorithm(name, pred, mix_tf, ests, passes,
-                                              mixture.size), mixture.size)
+    outputs = run_algorithm(name, pred, mix_tf, ests, mixture.size, passes)
     del mix_tf, ests    # no spectrogram stays alive while the metrics run
 
     written = []
@@ -600,7 +595,7 @@ def cmd_dereverb(config):
         "algorithm": name,
         "pred": applied,
         "estimate_mode": (_get(config, "estimate_mode")
-                          if ALGORITHMS[name].reads_estimate else None),
+                          if ALGORITHMS[name].reads else None),
         "passes": passes,
         "sample_rate": fs,
         "outputs": written,
@@ -632,8 +627,10 @@ def cmd_evaluate(config):
 # experiment
 
 def _sweep_algorithms(entries):
-    """(name, explicit settings, entry, row settings) per algorithm entry.
-    Row settings are the applied ones (the given ones if invalid) and passes."""
+    """(name, row settings, PredConfig, passes, error) per algorithm entry,
+    whose null keys are the defaults. Row settings are the applied ones (the
+    given ones if invalid) and passes; an invalid entry has its error, which
+    each of its rows records, and None for what did not resolve."""
     out = []
     for entry in entries:
         if isinstance(entry, str):
@@ -641,33 +638,26 @@ def _sweep_algorithms(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"an algorithm entry must be a name or an "
                               f"object; got {entry!r}")
+        entry = {k: v for k, v in entry.items() if v is not None}
         name = entry.get("name")
         _algorithm(name)  # an unknown or missing name fails the whole sweep
-        given = {k: v for k, v in entry.items() if k not in ("name", "passes")}
+        settings = {k: v for k, v in entry.items() if k not in ("name", "passes")}
+        pred = passes = error = None
         try:
-            settings = _prediction(name, given)[1]
-        except ConfigError:  # each of the entry's rows records the error
-            settings = dict(given)
+            pred, settings = _prediction(name, settings)
+            passes = _get(entry, "passes")
+        except ConfigError as exc:
+            error = str(exc)
         if "passes" in entry:
             settings["passes"] = entry["passes"]
-        out.append((name, given, entry, settings))
+        out.append((name, settings, pred, passes, error))
     return out
 
 
-def _sweep_estimates(scene, cfg, point, count):
-    """Oracle (no estimate error at ``point``) or degraded STFTs of the
-    first ``count`` direct paths; direct path c is degraded with seed
-    ``seed + 7919 (c + 1)``."""
-    seed = _get(point, "seed")
-    return target_estimates(scene.direct[:count], cfg,
-                            _get(point, "estimate_error_snr_db"),
-                            [seed + 7919 * (c + 1) for c in range(count)])
-
-
-def _sweep_row_metrics(point, name, given, entry, scene, mix_tf, ests, solved,
+def _sweep_row_metrics(point, name, pred, passes, scene, mix_tf, ests, solved,
                        scores):
-    """Run one algorithm entry on a prepared scene; returns its per-source
-    metrics.
+    """Run one resolved algorithm entry on a prepared scene; returns its
+    per-source metrics.
 
     ``solved`` maps the problem key of each output that has succeeded on
     this scene to its metrics: (family, PredConfig, passes, source, estimate
@@ -681,20 +671,17 @@ def _sweep_row_metrics(point, name, given, entry, scene, mix_tf, ests, solved,
     algorithm error is raised before a metric error.
     """
     algo = ALGORITHMS[name]
-    pred, _ = _prediction(name, given)
-    passes = _get(entry, "passes")
     family = (algo.per_source if passes == 1 else None) or name
-    est_err = point["estimate_error_snr_db"] if algo.reads_estimate else None
+    est_err = point["estimate_error_snr_db"] if algo.reads else None
     keys = [(family, pred, passes, c, est_err)
             for c in range(_n_outputs(algo, ests))]
     missing = [c for c, key in enumerate(keys) if key not in solved]
     if missing:
-        outputs_tf = run_algorithm(
+        outputs = run_algorithm(
             name, pred, mix_tf, [ests[c] for c in missing] if algo.per_source
-            else ests, passes, scene.n_samples)
-        entries = scores.per_source(
-            _enhanced(mix_tf, outputs_tf, scene.n_samples),
-            _max_lag(point, scene.n_samples), missing)
+            else ests, scene.n_samples, passes)
+        entries = scores.per_source(outputs, _max_lag(point, scene.n_samples),
+                                    missing)
         solved.update(zip([keys[c] for c in missing], entries))
     return [solved[key] for key in keys]
 
@@ -721,15 +708,20 @@ def _scene_rows(point, est_errs, algorithms):
         ests, est_error = [], scene_error
         if scene_error is None:
             try:
-                ests = _sweep_estimates(scene, mix_tf.config, at, n_ests)
+                ests = target_estimates(
+                    scene.direct[:n_ests], mix_tf.config,
+                    _get(at, "estimate_error_snr_db"),
+                    [typed["seed"] + 7919 * (c + 1) for c in range(n_ests)])
             except Exception as exc:  # recorded in each row that reads them
                 est_error = str(exc)
-        for name, given, entry, settings in algorithms:
-            error = est_error if ALGORITHMS[name].reads_estimate else scene_error
+        for name, settings, pred, passes, entry_error in algorithms:
+            error = est_error if ALGORITHMS[name].reads else scene_error
+            if error is None:
+                error = entry_error
             if error is None:
                 try:
                     per_source = _sweep_row_metrics(
-                        at, name, given, entry, scene, mix_tf, ests, solved,
+                        at, name, pred, passes, scene, mix_tf, ests, solved,
                         scores)
                 except Exception as exc:  # recorded, sweep continues
                     error = str(exc)

@@ -48,6 +48,7 @@ LAMBDA_MODES = ("est_power", "mix_power", "unit")
 class PredConfig:
     """Prediction settings: filter taps, delay, weighting floor, loading.
 
+    The field defaults are FCP's; each preset states only what differs.
     ``lambda_mode`` picks the weighting source: 'est_power' floors the
     supplied estimate's power, 'mix_power' floors the mixture's power,
     'unit' disables weighting. ``diag_load`` is relative to the mean
@@ -78,23 +79,17 @@ class PredConfig:
     @classmethod
     def for_wpe(cls, **kwargs):
         """WPE defaults: 37 taps, delay 3, mixture-power weights, 3 iters."""
-        base = dict(taps=37, delay=3, eps=0.001, lambda_mode="mix_power", iters=3)
-        base.update(kwargs)
-        return cls(**base)
+        return cls(**{"taps": 37, "delay": 3, **kwargs})
 
     @classmethod
     def for_icp(cls, **kwargs):
         """ICP defaults: 40 taps, no delay, unweighted estimate power."""
-        base = dict(taps=40, delay=0, eps=1.0, lambda_mode="est_power")
-        base.update(kwargs)
-        return cls(**base)
+        return cls(**{"eps": 1.0, "lambda_mode": "est_power", **kwargs})
 
     @classmethod
     def for_fcp(cls, **kwargs):
         """FCP defaults: 40 taps, no delay, floored mixture-power weights."""
-        base = dict(taps=40, delay=0, eps=0.001, lambda_mode="mix_power")
-        base.update(kwargs)
-        return cls(**base)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -461,13 +456,20 @@ def wpe_supplied(mixture, weights, taps=37, delay=3, diag_load=1e-6):
     return np.subtract(y, pred, out=pred), filters
 
 
-def _degenerate_bins(est, rel_tol=1e-12):
-    """Bins whose estimate energy is below rel_tol of the strongest bin."""
+def _pass_dead_bins(y, est, shat, bank, *zeroed):
+    """Pass the mixture ``y`` through into ``shat`` at the bins whose
+    estimate energy is below 1e-12 of the strongest bin's (every bin of an
+    all-zero estimate), and zero those bins' columns of each array in
+    ``zeroed``; returns ``bank`` with zero filters there."""
     energy = np.sum(np.abs(est) ** 2, axis=0)
     peak = energy.max()
-    if peak == 0.0:
-        return np.ones(energy.size, dtype=bool)
-    return energy < rel_tol * peak
+    dead = energy < 1e-12 * peak if peak > 0 else np.ones(energy.size, dtype=bool)
+    if not np.any(dead):
+        return bank
+    shat[:, dead] = y[:, dead]
+    for arr in zeroed:
+        arr[:, dead] = 0.0
+    return FilterBank(np.where(dead[:, None], 0.0, bank.filters), bank.delay)
 
 
 def icp(mixture, est, taps=40, weights=None, eps=1.0, diag_load=1e-6):
@@ -490,13 +492,7 @@ def icp(mixture, est, taps=40, weights=None, eps=1.0, diag_load=1e-6):
     if weights is None:
         weights = lambda_weights(s, "est_power", eps)
     shat, bank = solve_wls(y, s, taps, 0, weights, diag_load)
-
-    coeffs = bank.filters
-    dead = _degenerate_bins(s)
-    if np.any(dead):
-        coeffs = np.where(dead[:, None], 0.0, coeffs)
-        shat[:, dead] = y[:, dead]
-    return shat, FilterBank(coeffs, 0)
+    return shat, _pass_dead_bins(y, s, shat, bank)
 
 
 # Frames per chunk of FCP's check that its two output forms agree.
@@ -538,11 +534,4 @@ def fcp(mixture, est, taps=40, weights=None, eps=0.001, diag_load=1e-6):
                            rtol=1e-12, atol=atol):
             raise FloatingPointError(
                 "subtraction and residual forms of the output diverged")
-
-    coeffs = bank.filters
-    dead = _degenerate_bins(s)
-    if np.any(dead):
-        coeffs = np.where(dead[:, None], 0.0, coeffs)
-        shat[:, dead] = y[:, dead]
-        xhat[:, dead] = 0.0
-    return shat, FilterBank(coeffs, 0), xhat
+    return shat, _pass_dead_bins(y, s, shat, bank, xhat), xhat

@@ -144,15 +144,16 @@ def test_passes_feed_back_every_output_but_the_last(scene_dir, monkeypatch):
     cfg = StftConfig.for_rate(fs)
     mix, est = analyze(y, cfg), analyze(s, cfg).data
     pred = convpred.PredConfig.for_fcp()
-    first = cli.run_algorithm("fcp", pred, mix, [est])[0]
-    fed_back = analyze(synthesize(mix.with_data(first), y.size), cfg).data
+    first = cli.run_algorithm("fcp", pred, mix, [est], y.size)[0]
+    fed_back = analyze(first, cfg).data
     calls = []
     real = cli.analyze
     monkeypatch.setattr(cli, "analyze",
                         lambda *args: calls.append(args) or real(*args))
-    two = cli.run_algorithm("fcp", pred, mix, [est], passes=2, n_samples=y.size)
+    two = cli.run_algorithm("fcp", pred, mix, [est], y.size, passes=2)
     assert len(calls) == 1
-    np.testing.assert_array_equal(two[0], convpred.fcp(mix.data, fed_back)[0])
+    np.testing.assert_array_equal(
+        two[0], synthesize(mix.with_data(convpred.fcp(mix.data, fed_back)[0]), y.size))
 
 
 def test_dereverb_rejects_wpe_zero_delay(scene_dir, capsys):
@@ -286,16 +287,18 @@ def test_per_source_output_is_its_family_on_one_estimate(duo_1s, name):
     """The property the sweep's memo rests on: with equal settings, output c
     of a per-source algorithm is its family's output on estimate c alone."""
     cfg = StftConfig.for_rate(8000)
-    y = analyze(read_wav(duo_1s / "y.wav")[0], cfg)
+    mixture = read_wav(duo_1s / "y.wav")[0]
+    y = analyze(mixture, cfg)
     ests = [analyze(read_wav(duo_1s / f"s{c}.wav")[0], cfg).data for c in (0, 1)]
     algo = cli.ALGORITHMS[name]
     pred = cli.ALGORITHMS[algo.per_source].defaults()
     assert algo.defaults() == pred
-    outputs = cli.run_algorithm(name, pred, y, ests)
+    outputs = cli.run_algorithm(name, pred, y, ests, mixture.size)
     assert len(outputs) == len(ests)
     for c, est in enumerate(ests):
         np.testing.assert_array_equal(
-            outputs[c], cli.run_algorithm(algo.per_source, pred, y, [est])[0])
+            outputs[c],
+            cli.run_algorithm(algo.per_source, pred, y, [est], mixture.size)[0])
 
 
 def test_dereverb_degrades_estimate_c_with_seed_plus_c(duo_1s, tmp_path):
@@ -662,6 +665,19 @@ def test_dereverb_too_short_to_score_is_config_error_before_work(
     assert not list(out.iterdir())
 
 
+def test_dereverb_encoding_without_output_is_config_error(
+        scene_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(convpred, "fcp", None)  # must never run
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["dereverb", "--mixture", str(scene_dir / "y.wav"),
+               "--reference", str(scene_dir / "s.wav"), "--encoding", "pcm16",
+               "--report", str(out / "r.json")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: encoding ")
+    assert not list(out.iterdir())
+
+
 def test_dereverb_max_lag_at_half_the_length_is_applied(scene_dir, tmp_path):
     report = cmd_dereverb({"mixture": str(scene_dir / "y.wav"),
                            "reference": str(scene_dir / "s.wav"),
@@ -889,7 +905,7 @@ def test_library_calls_check_the_algorithm_and_the_paths(scene_dir):
     y, fs = read_wav(scene_dir / "y.wav")
     mix = analyze(y, StftConfig.for_rate(fs))
     with pytest.raises(cli.ConfigError, match="^algorithm must be one of"):
-        cli.run_algorithm(None, convpred.PredConfig.for_fcp(), mix, [mix.data])
+        cli.run_algorithm(None, convpred.PredConfig.for_fcp(), mix, [mix.data], y.size)
     with pytest.raises(cli.ConfigError, match="^reference must be a string"):
         cli.cmd_evaluate({"estimate": str(scene_dir / "y.wav"),
                           "reference": [str(scene_dir / "s.wav")]})
@@ -931,7 +947,7 @@ def test_readme_algorithm_table_is_the_algorithm_table():
     assert table == [
         f"| `{name}` | "
         + ", ".join(f"`{k}` {getattr(algo.defaults(), k)}" for k in algo.settings)
-        + f" | {yes[algo.reads_estimate]} | {yes[algo.multi_pass]} |"
+        + f" | {yes[bool(algo.reads)]} | {yes[algo.reads == 1]} |"
         for name, algo in cli.ALGORITHMS.items()]
 
 
@@ -1422,7 +1438,7 @@ def test_sweep_failed_scene_fails_its_rows_only():
                for r in rows[n:]}
     for name in cli.ALGORITHMS:
         same = metrics[(None, name)] == metrics[(10.0, name)]
-        assert same == (not cli.ALGORITHMS[name].reads_estimate)
+        assert same == (not cli.ALGORITHMS[name].reads)
 
 
 def test_sweep_failed_row_is_computed_for_each_estimate_error(monkeypatch):
@@ -1471,6 +1487,17 @@ def test_sweep_list_value_fails_only_the_rows_that_use_it(key, good, bad):
                     if any(r["algorithm"] == b["algorithm"] for b in block)]
         assert json.dumps(block, sort_keys=True) == json.dumps(expected,
                                                                sort_keys=True)
+
+
+def test_sweep_entry_null_key_is_the_default():
+    """A null key of an algorithm entry is the key's default, as in a
+    config file, and is not listed in the row settings."""
+    entries = [{"name": "fcp", "delay": None}, {"name": "fcp", "taps": None},
+               {"name": "wpe_vanilla", "passes": None}]
+    rows = run_experiment(small_sweep(seeds=[0], algorithms=entries))["rows"]
+    assert rows == run_experiment(small_sweep(
+        seeds=[0], algorithms=["fcp", "fcp", "wpe_vanilla"]))["rows"]
+    assert all(r["error"] is None for r in rows)
 
 
 def test_sweep_entry_with_ignored_setting_is_row_error():

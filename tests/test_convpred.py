@@ -1000,6 +1000,42 @@ def test_fcp_degenerate_bin_passes_mixture_through():
     assert np.all(bank_i.filters[2] == 0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(7, 200))
+def test_bins_of_negligible_estimate_energy_pass_the_mixture_through(seed, exponent):
+    """Bins of the estimate scaled by 10^-exponent, never the strongest,
+    carry less than 1e-12 of its energy: icp and fcp output the mixture
+    there, with zero filters and, for FCP, a zero x_hat. Every other bin,
+    and every filter, is the run's with those bins exactly zero."""
+    rng = np.random.default_rng(seed)
+    frames, bins, taps = int(rng.integers(16, 65)), int(rng.integers(2, 9)), 4
+    y, est = (rng.standard_normal((2, frames, bins))
+              + 1j * rng.standard_normal((2, frames, bins)))
+    faint = rng.random(bins) < 0.5
+    faint[np.argmax(np.sum(np.abs(est) ** 2, axis=0))] = False
+    zeroed = est.copy()
+    zeroed[:, faint] = 0.0
+    est[:, faint] *= 10.0 ** -exponent
+    for run in (lambda e: icp(y, e, taps), lambda e: fcp(y, e, taps)):
+        out, bank, *xhat = run(est)
+        np.testing.assert_array_equal(out[:, faint], y[:, faint])
+        assert np.all(bank.filters[faint] == 0)
+        assert all(np.all(x[:, faint] == 0) for x in xhat)
+        out0, bank0, *xhat0 = run(zeroed)
+        np.testing.assert_array_equal(out, out0)
+        np.testing.assert_array_equal(bank.filters, bank0.filters)
+        for x, x0 in zip(xhat, xhat0):
+            np.testing.assert_array_equal(x, x0)
+
+
+def test_fcp_all_zero_estimate_passes_every_bin():
+    rng = np.random.default_rng(14)
+    y = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
+    shat, bank, xhat = fcp(y, np.zeros_like(y))
+    np.testing.assert_array_equal(shat, y)
+    assert np.all(bank.filters == 0) and np.all(xhat == 0)
+
+
 def test_fcp_scale_equivariance():
     est, y, _ = planted_fcp_instance(seed=13, frames=256)
     alpha = 1.3 - 2.1j
@@ -1017,9 +1053,9 @@ def duo_tf(two_speaker_scene, cfg8k):
     sc = two_speaker_scene
     mix, ests = analyze(sc.y, cfg8k), target_estimates(sc.direct, cfg8k)
     outputs = {(name, passes): cli.run_algorithm(name, algo.defaults(), mix, ests,
-                                                 passes, sc.n_samples)
+                                                 sc.n_samples, passes)
                for name, algo in cli.ALGORITHMS.items()
-               for passes in ((1, 2) if algo.multi_pass else (1,))}
+               for passes in ((1, 2) if algo.reads == 1 else (1,))}
     return mix, ests, sc.n_samples, outputs
 
 
@@ -1030,7 +1066,7 @@ def _assert_scales_exactly(duo_tf, name, passes, k):
     scale = 2.0 ** k
     scaled = cli.run_algorithm(name, cli.ALGORITHMS[name].defaults(),
                                mix.with_data(mix.data * scale),
-                               [est * scale for est in ests], passes, n_samples)
+                               [est * scale for est in ests], n_samples, passes)
     assert len(scaled) == len(outputs[name, passes])
     for out, expected in zip(scaled, outputs[name, passes]):
         np.testing.assert_array_equal(out / scale, expected)
@@ -1046,7 +1082,7 @@ def test_every_algorithm_is_exactly_scale_equivariant(duo_tf, name, k):
 
 
 @pytest.mark.parametrize("name", [n for n, a in cli.ALGORITHMS.items()
-                                  if a.multi_pass])
+                                  if a.reads == 1])
 @settings(max_examples=3, deadline=None)
 @given(k=st.integers(-300, 300))
 @example(k=-300)
@@ -1062,10 +1098,11 @@ def test_two_passes_are_exactly_scale_equivariant(duo_tf, name, k):
 def test_fcp_per_source_single_source_identical(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k)
     est = analyze(reverb_scene.direct[0], cfg8k).data
-    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, [est])
+    n = reverb_scene.n_samples
+    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, [est], n)
     direct, _, _ = fcp(y.data, est)
     assert len(outs) == 1
-    np.testing.assert_array_equal(outs[0], direct)
+    np.testing.assert_array_equal(outs[0], synthesize(y.with_data(direct), n))
 
 
 @pytest.mark.parametrize("mode", ["unit", "mix_power", "est_power"])
@@ -1074,20 +1111,21 @@ def test_fcp_per_source_weights_each_source_like_fcp(two_speaker_scene, cfg8k, m
     y = analyze(sc.y, cfg8k)
     ests = target_estimates(sc.direct, cfg8k)
     outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(lambda_mode=mode),
-                             y, ests)
+                             y, ests, sc.n_samples)
     assert len(outs) == 2
     for est, out in zip(ests, outs):
         weights = lambda_weights(est if mode == "est_power" else y.data, mode, 0.001)
-        np.testing.assert_array_equal(out, fcp(y.data, est, weights=weights)[0])
+        np.testing.assert_array_equal(out, synthesize(
+            y.with_data(fcp(y.data, est, weights=weights)[0]), sc.n_samples))
 
 
 def test_fcp_per_source_improves_both_sources(two_speaker_scene, cfg8k):
     sc = two_speaker_scene
     y = analyze(sc.y, cfg8k)
     ests = target_estimates(sc.direct, cfg8k)
-    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests)
-    for c, out_tf in enumerate(outs):
-        out = synthesize(y.with_data(out_tf), sc.n_samples)
+    outs = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests,
+                             sc.n_samples)
+    for c, out in enumerate(outs):
         assert si_sdr(out, sc.direct[c]) > si_sdr(sc.y, sc.direct[c])
 
 
@@ -1125,9 +1163,10 @@ def test_wpe_multi_single_source_matches_supplied(reverb_scene, cfg8k):
     y = analyze(reverb_scene.y, cfg8k)
     est = analyze(reverb_scene.direct[0], cfg8k).data
     lam = lambda_weights(est, "est_power", 0.001)
-    ref, _ = wpe_supplied(y.data, lam, taps=12, delay=3)
+    n = reverb_scene.n_samples
+    ref = synthesize(y.with_data(wpe_supplied(y.data, lam, taps=12, delay=3)[0]), n)
     for name in ("wpe_sf", "wpe_mf"):
-        outs = cli.run_algorithm(name, PredConfig.for_wpe(taps=12), y, [est])
+        outs = cli.run_algorithm(name, PredConfig.for_wpe(taps=12), y, [est], n)
         assert len(outs) == 1
         np.testing.assert_array_equal(outs[0], ref)
 
@@ -1139,14 +1178,15 @@ def test_wpe_multi_shapes_and_finiteness(two_speaker_scene, cfg8k):
     y = analyze(sc.y, cfg8k)
     ests = target_estimates(sc.direct, cfg8k)
     pred = PredConfig.for_wpe(taps=12)
-    sf_outs = cli.run_algorithm("wpe_sf", pred, y, ests)
+    sf_outs = cli.run_algorithm("wpe_sf", pred, y, ests, sc.n_samples)
     summed = lambda_weights(ests, "est_power", 0.001)
     assert len(sf_outs) == 1
-    np.testing.assert_array_equal(sf_outs[0], wpe_supplied(y.data, summed, 12, 3)[0])
-    mf_outs = cli.run_algorithm("wpe_mf", pred, y, ests)
+    np.testing.assert_array_equal(sf_outs[0], synthesize(
+        y.with_data(wpe_supplied(y.data, summed, 12, 3)[0]), sc.n_samples))
+    mf_outs = cli.run_algorithm("wpe_mf", pred, y, ests, sc.n_samples)
     assert len(mf_outs) == 2
     for out in sf_outs + mf_outs:
-        assert out.shape == y.data.shape and np.all(np.isfinite(out))
+        assert out.shape == (sc.n_samples,) and np.all(np.isfinite(out))
 
 
 def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
@@ -1157,12 +1197,11 @@ def test_single_filter_wpe_improves_target_less_than_per_source_fcp(
     y = analyze(sc.y, cfg8k)
     ests = target_estimates(sc.direct, cfg8k)
     base = si_sdr(sc.y, sc.direct[0])
-    sf_out, = cli.run_algorithm("wpe_sf", PredConfig.for_wpe(), y, ests)
-    wpe_gain = si_sdr(synthesize(y.with_data(sf_out), sc.n_samples),
-                      sc.direct[0]) - base
-    fcp_out = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests)[0]
-    fcp_gain = si_sdr(synthesize(y.with_data(fcp_out), sc.n_samples),
-                      sc.direct[0]) - base
+    sf_out, = cli.run_algorithm("wpe_sf", PredConfig.for_wpe(), y, ests, sc.n_samples)
+    wpe_gain = si_sdr(sf_out, sc.direct[0]) - base
+    fcp_out = cli.run_algorithm("fcp_per_source", PredConfig.for_fcp(), y, ests,
+                                sc.n_samples)[0]
+    fcp_gain = si_sdr(fcp_out, sc.direct[0]) - base
     assert fcp_gain > wpe_gain
 
 

@@ -225,6 +225,25 @@ def test_write_wav_bytes_equal_scipy(tmp_path, encoding, rate, n):
             == (tmp_path / "scipy.wav").read_bytes())
 
 
+@settings(max_examples=20, deadline=None)
+@given(rate=st.sampled_from([8000, 16000]), n=st.integers(1, 4000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wav_round_trip_is_the_encoding_exactly(tmp_path_factory, rate, n, seed):
+    """read_wav after write_wav gives the float32 samples, or the clipped
+    16-bit codes over 32768, as float64, bit for bit."""
+    x = np.random.default_rng(seed).uniform(-1.2, 1.2, n)
+    path = tmp_path_factory.mktemp("round_trip") / "x.wav"
+    write_wav(path, x, rate, "float32")
+    samples, fs = read_wav(path)
+    assert fs == rate and samples.dtype == np.float64
+    np.testing.assert_array_equal(samples, x.astype(np.float32))
+    write_wav(path, x, rate, "pcm16")
+    samples, fs = read_wav(path)
+    assert fs == rate and samples.dtype == np.float64
+    np.testing.assert_array_equal(
+        samples, np.clip(np.round(x * 32768), -32768, 32767) / 32768)
+
+
 @pytest.mark.filterwarnings("error")
 def test_float32_overflow_raises_and_writes_nothing(tmp_path):
     """Samples beyond float32's range raise naming the file, with no numpy
