@@ -1,5 +1,6 @@
 """Lookup of the OpenBLAS that numpy's wheel bundles: its thread count,
-which ``one_blas_thread`` pins for the CLI and the solver, and the
+which ``one_blas_thread`` pins for the CLI and the solver, the shutdown of
+its idle worker threads, which the pin calls at its edges, and the
 kernels called on it through ``ctypes.CDLL``: the solver's per-bin complex
 Gram, Cholesky factor and solves, and the real blocked Cholesky factor and
 solve of the 512-tap SDR's normal equations. ``ctypes`` releases the GIL
@@ -80,6 +81,29 @@ def numpy_openblas():
     return get_threads, set_threads
 
 
+@functools.cache
+def numpy_openblas_shutdown():
+    """``blas_thread_shutdown_`` of the OpenBLAS numpy has loaded, which
+    joins its worker threads (the next threaded call starts them again),
+    or None without it: another BLAS, or an OpenBLAS that lacks it."""
+    shutdown = getattr(_numpy_openblas_lib(), "blas_thread_shutdown_", None)
+    if shutdown is not None:
+        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return shutdown
+
+
+def _stop_idle_workers():
+    """Join OpenBLAS's worker threads if this is the process's only Python
+    thread. The workers spin for ~0.1 s after each threaded call, and after
+    the count is set once they are stopped (setting it starts them), and a
+    spinning worker takes a core from the bin pool. Joining is unsafe while
+    another thread is inside a threaded call; with one Python thread none
+    can be."""
+    shutdown = numpy_openblas_shutdown()
+    if shutdown is not None and threading.active_count() == 1:
+        shutdown()
+
+
 # The pin's state is process-wide, as the thread count is.
 _pin_lock = threading.Lock()
 _pin_depth, _pin_saved = 0, None
@@ -91,13 +115,18 @@ def one_blas_thread():
     the first caller in saves the count and sets 1, and the last caller out
     restores it, so blocks that nest or overlap in threads all run on one.
     The solver's small per-bin GEMMs gain nothing from more threads, which
-    wait for descheduled workers under load and move the GEMMs' bits."""
+    wait for descheduled workers under load and move the GEMMs' bits.
+    After setting the count, the first caller in and the last caller out
+    each stop OpenBLAS's idle workers when no other Python thread runs
+    (``_stop_idle_workers``): the worker a threaded call before the block
+    left spinning, and the one that restoring the count starts."""
     global _pin_depth, _pin_saved
     get_threads, set_threads = numpy_openblas() or (None, None)
     with _pin_lock:
         if set_threads and _pin_depth == 0:
             _pin_saved = get_threads()
             set_threads(1)
+            _stop_idle_workers()
         _pin_depth += 1
     try:
         yield
@@ -106,6 +135,7 @@ def one_blas_thread():
             _pin_depth -= 1
             if set_threads and _pin_depth == 0:
                 set_threads(_pin_saved)
+                _stop_idle_workers()
 
 
 class Kernels:

@@ -14,6 +14,7 @@ command frees stays in the heap for the next (``_keep_freed_heap``).
 """
 
 import argparse
+import contextlib
 import copy
 import csv
 import ctypes
@@ -341,23 +342,13 @@ def cmd_simulate(config):
     out_dir.mkdir(parents=True, exist_ok=True)
     fs = scene.sample_rate
 
-    files = {}
-
-    def dump(name, samples):
-        path = out_dir / f"{name}.wav"
-        write_wav(path, samples, fs, encoding)
-        files[name] = str(path)
-
-    dump("y", scene.y)
-    dump("s", scene.s)
-    dump("h", scene.h)
-    dump("v", scene.v)
+    signals = {"y": scene.y, "s": scene.s, "h": scene.h, "v": scene.v}
     if scene.n_sources > 1:
         for c in range(scene.n_sources):
-            dump(f"s{c}", scene.direct[c])
-            dump(f"h{c}", scene.wet[c])
+            signals[f"s{c}"], signals[f"h{c}"] = scene.direct[c], scene.wet[c]
     if scene.snr_db is not None:
-        dump("noise", scene.noise)
+        signals["noise"] = scene.noise
+    files = {name: str(out_dir / f"{name}.wav") for name in signals}
 
     noise_energy = float(np.sum(scene.noise ** 2))
     measured_snr = None
@@ -375,7 +366,10 @@ def cmd_simulate(config):
         "scale": scene.scale,
         "files": files,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    with _all_or_none() as stage:
+        for name, samples in signals.items():
+            write_wav(stage(files[name]), samples, fs, encoding)
+        _write_json(stage(out_dir / "manifest.json"), manifest)
     return manifest
 
 
@@ -541,6 +535,42 @@ def _write_json(path, obj):
             _dump_json(obj, fh)
 
 
+@contextlib.contextmanager
+def _all_or_none():
+    """Let a command write all of its files or none of them: ``stage(path)``
+    names a temporary sibling to write in place of ``path`` (an unset path
+    stays unset), and once the block ends without an error each temporary
+    is renamed onto its path. On an error the temporaries are removed, each
+    path keeps what it held, and the error names the path, not its
+    temporary. A path that exists and is no regular file (a pipe, a
+    device) is written in place, and one whose temporary was never
+    written is left alone."""
+    staged = {}     # temporary -> (path as given, the file it names)
+
+    def stage(path):
+        if not path or (os.path.exists(path) and not os.path.isfile(path)):
+            return path
+        real = Path(os.path.realpath(path))
+        temporary = str(real.with_name(f".{real.name}.{os.getpid()}.tmp"))
+        staged[temporary] = (os.fspath(path), real)
+        return temporary
+
+    try:
+        yield stage
+        for temporary, (_, real) in staged.items():
+            with contextlib.suppress(FileNotFoundError):
+                os.replace(temporary, real)
+    except BaseException as exc:    # an interrupt too, re-raised
+        for temporary, (path, _) in staged.items():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+            if getattr(exc, "filename", None) == temporary:     # an OSError
+                exc.filename = path
+            exc.args = tuple(a.replace(temporary, path) if isinstance(a, str)
+                             else a for a in exc.args)
+        raise
+
+
 def cmd_dereverb(config):
     """Run one algorithm on a mixture WAV; write enhanced WAV(s) + report."""
     mixture_path = _get(config, "mixture")
@@ -584,11 +614,9 @@ def cmd_dereverb(config):
     written = []
     if _get(config, "output"):
         out_path = Path(_get(config, "output"))
-        for c, sig in enumerate(outputs):  # out.wav, or out_0.wav, out_1.wav, ...
-            p = out_path if len(outputs) == 1 else out_path.with_name(
-                f"{out_path.stem}_{c}{out_path.suffix}")
-            write_wav(p, sig, fs, _get(config, "encoding"))
-            written.append(str(p))
+        written = [out_path if len(outputs) == 1 else out_path.with_name(
+            f"{out_path.stem}_{c}{out_path.suffix}")  # out.wav, or out_0.wav, ...
+            for c in range(len(outputs))]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -598,11 +626,14 @@ def cmd_dereverb(config):
                           if ALGORITHMS[name].reads else None),
         "passes": passes,
         "sample_rate": fs,
-        "outputs": written,
+        "outputs": [str(p) for p in written],
     }
     if refs:
         report["metrics"] = _Scores(mixture, refs).per_source(outputs, max_lag)
-    _write_json(_get(config, "report"), report)
+    with _all_or_none() as stage:
+        for p, sig in zip(written, outputs):
+            write_wav(stage(p), sig, fs, _get(config, "encoding"))
+        _write_json(stage(_get(config, "report")), report)
     return report
 
 
@@ -619,7 +650,8 @@ def cmd_evaluate(config):
     scores = metrics.evaluate_pair(est[0], ref[0], _max_lag(config, est[0].size))
     report = {"schema_version": SCHEMA_VERSION, "sample_rate": fs,
               **scores.to_dict()}
-    _write_json(_get(config, "report"), report)
+    with _all_or_none() as stage:
+        _write_json(stage(_get(config, "report")), report)
     return report
 
 
@@ -842,9 +874,10 @@ def cmd_experiment(config):
     if not sweep_path:
         raise ConfigError("experiment needs a sweep file: give it with --config")
     result = run_experiment(load_config(sweep_path))
-    _write_json(_get(config, "output"), result)
-    if _get(config, "csv"):
-        _write_csv(result, _get(config, "csv"))
+    with _all_or_none() as stage:
+        _write_json(stage(_get(config, "output")), result)
+        if _get(config, "csv"):
+            _write_csv(result, stage(_get(config, "csv")))
     return result
 
 

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -417,6 +418,39 @@ def test_fcp_form_divergence_is_numerical_failure(scene_dir, monkeypatch, capsys
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_dereverb_whose_report_cannot_be_written_writes_no_file(scene_dir,
+                                                                tmp_path, capsys):
+    """An I/O error exits 3 and changes no file: the enhanced WAV, written
+    before the report, is not left behind, and a file already at its path
+    keeps what it held."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "old.wav").write_bytes(b"old")
+    missing = tmp_path / "missing" / "x.json"
+    argv = ["dereverb", "--mixture", str(scene_dir / "y.wav"),
+            "--reference", str(scene_dir / "s.wav"), "--algorithm", "fcp",
+            "--report", str(missing), "--output"]
+    rc_new = main(argv + [str(out_dir / "ok.wav")])
+    rc_old = main(argv + [str(out_dir / "old.wav")])
+    err = capsys.readouterr().err
+    assert (rc_new, rc_old) == (EXIT_IO, EXIT_IO)
+    assert err.count(f"i/o error: [Errno 2] No such file or directory: '{missing}'") == 2
+    assert [p.name for p in out_dir.iterdir()] == ["old.wav"]
+    assert (out_dir / "old.wav").read_bytes() == b"old"
+
+
+def test_simulate_whose_manifest_cannot_be_written_writes_no_file(tmp_path, capsys):
+    """simulate writes its WAVs before its manifest; when the manifest's
+    path is a directory, it exits 3 and writes no WAV."""
+    out = tmp_path / "scene"
+    (out / "manifest.json").mkdir(parents=True)
+    rc = main(["simulate", "--out-dir", str(out), "--sample-rate", "8000",
+               "--duration-s", "1"])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
     blas = _blas.numpy_openblas()
     if blas is None:
@@ -445,6 +479,38 @@ def test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch):
     assert (rc, rc_io) == (EXIT_OK, EXIT_IO)
     assert seen == [1]
     assert after_ok == before and after_error == before
+
+
+def test_main_runs_blas_on_one_thread_without_the_worker_shutdown(scene_dir,
+                                                                  monkeypatch):
+    """On an OpenBLAS without blas_thread_shutdown_ the pin works as before."""
+    monkeypatch.setattr(_blas, "numpy_openblas_shutdown", lambda: None)
+    test_main_runs_blas_on_one_thread_and_restores(scene_dir, monkeypatch)
+
+
+def test_no_worker_spins_after_a_threaded_call_and_a_command(scene_dir, capsys):
+    """After a threaded dot product and an in-process evaluate, the process
+    spends under 30 ms of CPU over a 0.3 s sleep: no OpenBLAS worker is
+    left spinning (~130 ms if one is)."""
+    blas = _blas.numpy_openblas()
+    if blas is None or _blas.numpy_openblas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS has no blas_thread_shutdown_")
+    get_threads, set_threads = blas
+    assert threading.active_count() == 1
+    original = get_threads()
+    set_threads(2)
+    try:
+        x = np.random.default_rng(5).standard_normal(64000)
+        x @ x                                   # long enough to run threaded
+        rc = main(["evaluate", "--estimate", str(scene_dir / "y.wav"),
+                   "--reference", str(scene_dir / "s.wav")])
+        start = time.process_time()
+        time.sleep(0.3)
+        idle_ms = 1e3 * (time.process_time() - start)
+    finally:
+        set_threads(original)
+    assert rc == EXIT_OK
+    assert idle_ms < 30
 
 
 def test_main_spreads_solver_bins_over_cores(scene_dir, monkeypatch):
@@ -1180,6 +1246,20 @@ def test_experiment_csv_and_json(tmp_path, capsys):
     assert len(result["rows"]) == 1
     lines = (tmp_path / "result.csv").read_text().splitlines()
     assert lines[0].startswith("seed,") and len(lines) == 2
+
+
+def test_experiment_whose_csv_cannot_be_written_writes_no_file(tmp_path, capsys):
+    """An I/O error exits 3 and leaves no output: the JSON result, written
+    first, is not left behind when the CSV's directory does not exist."""
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(small_sweep(seeds=[0])))
+    missing = tmp_path / "missing" / "x.csv"
+    rc = main(["experiment", "--config", str(sweep_path),
+               "--output", str(tmp_path / "ok.json"), "--csv", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_IO
+    assert err.startswith("i/o error:") and str(missing) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
 
 def test_experiment_without_sweep_file_is_config_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import inspect
 import logging
 import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -599,6 +601,139 @@ def test_pin_holds_under_many_overlapping_callers(blas_threads):
         sys.setswitchinterval(interval)
     assert len(inside) == 1600 and set(inside) == {1}
     assert get_threads() == 2
+
+
+def idle_cpu_ms():
+    """Process CPU time over a 0.3 s sleep, in ms: OpenBLAS's worker, if it
+    spins, spends most of it."""
+    start = time.process_time()
+    time.sleep(0.3)
+    return 1e3 * (time.process_time() - start)
+
+
+def threaded_dot():
+    """A dot product long enough that OpenBLAS splits it between threads."""
+    x = np.random.default_rng(5).standard_normal(64000)
+    return x @ x
+
+
+@pytest.fixture
+def shutdown_workers(blas_threads):
+    """blas_threads, on an OpenBLAS that can stop its workers, at the
+    caller's count 2, with no other Python thread running."""
+    if _blas.numpy_openblas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS has no blas_thread_shutdown_")
+    assert threading.active_count() == 1
+    _, set_threads = blas_threads
+    set_threads(2)
+
+
+def test_no_worker_spins_in_or_after_a_pin_after_a_threaded_call(shutdown_workers):
+    """A threaded call leaves OpenBLAS's worker spinning for ~0.1 s, also at
+    one thread; the pin's first caller in stops it, and the last caller out
+    stops the one that restoring the count starts."""
+    threaded_dot()
+    with _blas.one_blas_thread():
+        inside = idle_cpu_ms()
+    threaded_dot()
+    with _blas.one_blas_thread():
+        pass
+    after = idle_cpu_ms()
+    assert inside < 30 and after < 30
+
+
+def test_no_worker_spins_after_a_bare_pin(shutdown_workers):
+    """A pin after a pin that stopped the workers: its count settings start
+    new ones, and its last caller out stops them too."""
+    with _blas.one_blas_thread():
+        pass
+    with _blas.one_blas_thread():
+        pass
+    assert idle_cpu_ms() < 30
+
+
+def fake_blas(monkeypatch):
+    """Patch the thread count and the worker shutdown with recorders; the
+    list returned gets the count at each shutdown."""
+    count, shutdowns = [2], []
+    monkeypatch.setattr(_blas, "numpy_openblas",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    monkeypatch.setattr(_blas, "numpy_openblas_shutdown",
+                        lambda: lambda: shutdowns.append(count[0]))
+    return shutdowns
+
+
+def test_pin_stops_workers_at_the_outermost_edges_only(monkeypatch):
+    """With one Python thread, the workers are stopped once on the way in
+    (at count 1) and once on the way out (at the restored count), and not
+    by a nested pin."""
+    shutdowns = fake_blas(monkeypatch)
+    assert threading.active_count() == 1
+    with _blas.one_blas_thread():
+        with _blas.one_blas_thread():
+            nested = list(shutdowns)
+        after_nested = list(shutdowns)
+    assert (nested, after_nested, shutdowns) == ([1], [1], [1, 2])
+
+
+def test_pin_keeps_workers_while_another_thread_runs(monkeypatch):
+    """Stopping the workers while another thread is inside a threaded BLAS
+    call can hang, so with a second live Python thread the pin never does."""
+    shutdowns = fake_blas(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        with _blas.one_blas_thread():
+            with _blas.one_blas_thread():
+                pass
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert shutdowns == []
+
+
+def test_pin_tests_pass_without_the_worker_shutdown(monkeypatch, blas_threads):
+    """On an OpenBLAS without blas_thread_shutdown_ the pin works as before."""
+    monkeypatch.setattr(_blas, "numpy_openblas_shutdown", lambda: None)
+    for test in (test_solve_runs_on_one_blas_thread_and_restores,
+                 test_overlapping_solves_keep_one_blas_thread_until_the_last_returns):
+        with monkeypatch.context() as m:
+            test(m, blas_threads)
+    test_pin_holds_under_many_overlapping_callers(blas_threads)
+
+
+def test_blas_restarts_its_workers_with_the_same_bits():
+    """After the pin has stopped the workers, the caller's count is back,
+    and a threaded dot product and a 512 x 512 matmul give the bits they
+    gave before the process's first pin (a fresh interpreter)."""
+    if _blas.numpy_openblas_shutdown() is None:
+        pytest.skip("numpy's OpenBLAS has no blas_thread_shutdown_")
+    code = """
+import numpy as np
+from dereverb import _blas
+get_threads, set_threads = _blas.numpy_openblas()
+set_threads(2)
+rng = np.random.default_rng(3)
+x, a, b = (rng.standard_normal(64000), rng.standard_normal((512, 512)),
+           rng.standard_normal((512, 512)))
+before = x @ x, np.matmul(a, b)
+for _ in range(3):
+    with _blas.one_blas_thread():
+        pass
+    after = x @ x, np.matmul(a, b)
+    assert get_threads() == 2
+    assert all(np.array_equal(p, q) for p, q in zip(before, after))
+print("same bits")
+"""
+    src = os.path.dirname(os.path.dirname(_blas.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "same bits\n"
 
 
 def test_library_bits_do_not_depend_on_blas_threads(blas_threads, cfg16k):
